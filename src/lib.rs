@@ -689,6 +689,7 @@ impl Pigeon {
     ///
     /// Returns [`PigeonError`] on malformed input.
     pub fn from_json(json: &str) -> Result<Pigeon, PigeonError> {
+        let _span = telemetry::span("load_json");
         let err = |m: &str| PigeonError::model_format(format!("model file: {m}"));
         let v: serde_json::Value = serde_json::from_str(json).map_err(|e| err(&e.to_string()))?;
         let str_field = |k: &str| -> Result<&str, PigeonError> {

@@ -188,15 +188,23 @@ fn compile_predict_audit_round_trip() {
     .unwrap();
     let predict = |model_path: &std::path::Path| {
         let out = pigeon()
-            .args(["predict", "--model"])
+            .args(["predict", "--timings", "true", "--model"])
             .arg(model_path)
             .arg(&query)
             .output()
             .expect("runs");
+        let timings = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{timings}");
+        // Model load is its own `--timings` row in both formats.
+        let phase = match model_path.extension().and_then(|e| e.to_str()) {
+            Some("json") => "load_json",
+            _ => "load_artifact",
+        };
         assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
+            timings
+                .lines()
+                .any(|l| l.split_whitespace().next() == Some(phase)),
+            "no {phase} row in:\n{timings}"
         );
         String::from_utf8_lossy(&out.stdout).into_owned()
     };

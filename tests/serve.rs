@@ -432,6 +432,38 @@ fn serve_rejects_oversized_requests() {
     let _ = child.wait();
 }
 
+/// Hostile JSON bodies inside the default 1 MiB limit: a flood of `[`
+/// (deep nesting) gets a 400 instead of overflowing the stack, and one
+/// long string is decoded in linear time. The server keeps answering
+/// fresh connections after each.
+#[test]
+fn serve_survives_hostile_json_bodies() {
+    let dir = tmp_dir("hostile");
+    let model = train_model(&dir);
+    let (mut child, addr, _stdout) = spawn_server(&model, &["--idle-timeout", "60"]);
+
+    let (status, body) = post(&addr, "/v1/predict", &"[".repeat(200_000));
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("recursion limit exceeded"), "{body}");
+    let (status, body) = post(&addr, "/v1/predict", QUERY);
+    assert_eq!(status, 200, "after deep nesting: {body}");
+
+    let long = format!(r#"{{"source":"{}"}}"#, "x".repeat(1000 << 10));
+    let started = Instant::now();
+    let (status, body) = post(&addr, "/v1/predict", &long);
+    assert_eq!(status, 200, "{body}");
+    assert!(
+        started.elapsed() < Duration::from_secs(20),
+        "a 1000 KiB string took {:?}",
+        started.elapsed()
+    );
+    let (status, body) = post(&addr, "/v1/predict", QUERY);
+    assert_eq!(status, 200, "after a long string: {body}");
+
+    child.kill().expect("kills");
+    let _ = child.wait();
+}
+
 /// Pins the v1 API contract: versioned paths, the `"api"` field on every
 /// JSON body, stable machine-readable error codes, the `Deprecation`
 /// header on pre-versioning aliases, and the Prometheus exposition.
