@@ -222,9 +222,8 @@ pub fn lint_artifact(unit: &str, bytes: &[u8]) -> Vec<Diagnostic> {
             Severity::Info,
             unit,
             format!(
-                "{} quantization, {} sections, {payload} payload bytes in a \
+                "f32 quantization, {} sections, {payload} payload bytes in a \
                  {}-byte file, all checksums verified",
-                art.quant.name(),
                 sections.len(),
                 bytes.len()
             ),

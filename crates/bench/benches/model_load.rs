@@ -1,5 +1,5 @@
 //! Model cold-start: JSON load (parse + validate + recompile) vs the
-//! compiled binary artifact (bulk array reads) across quantizations.
+//! compiled `f32` binary artifact (bulk array reads).
 //!
 //! Writes `BENCH_MODEL_LOAD.json` at the repo root (override the path
 //! with `PIGEON_BENCH_OUT`) with median/p95 per loader and host
@@ -45,16 +45,9 @@ fn main() {
     let mut rows: Vec<(String, usize, f64, f64)> = Vec::new();
     let (json_median, json_p95) = measure(|| Pigeon::from_json(&json).expect("loads"));
     rows.push(("json".to_owned(), json.len(), json_median, json_p95));
-    for quant in [Quant::F32, Quant::F16, Quant::I8] {
-        let bytes = namer.to_artifact(quant).expect("compiles");
-        let (median, p95) = measure(|| Pigeon::from_artifact(&bytes).expect("loads"));
-        rows.push((
-            format!("artifact_{}", quant.name()),
-            bytes.len(),
-            median,
-            p95,
-        ));
-    }
+    let bytes = namer.to_artifact(Quant::F32).expect("compiles");
+    let (median, p95) = measure(|| Pigeon::from_artifact(&bytes).expect("loads"));
+    rows.push(("artifact_f32".to_owned(), bytes.len(), median, p95));
 
     println!(
         "{:<14} {:>12} {:>14} {:>14} {:>9}",

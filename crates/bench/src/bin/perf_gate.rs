@@ -6,9 +6,10 @@
 //! CI hosts vary wildly in absolute speed, so by default only the
 //! dimensionless metrics are gated: the `ratios` object of
 //! BENCH_TRAIN.json and each loader's `speedup_vs_json` in
-//! BENCH_MODEL_LOAD.json. Ratios divide out the host. Set
-//! `PIGEON_BENCH_STRICT=1` to additionally gate absolute medians
-//! (useful on a pinned, quiet perf box).
+//! BENCH_MODEL_LOAD.json. Ratios divide out the host. A ratio or loader
+//! the committed snapshot gates but the fresh one lacks is a failure,
+//! never a silent skip. Set `PIGEON_BENCH_STRICT=1` to additionally
+//! gate absolute medians (useful on a pinned, quiet perf box).
 
 use serde_json::Value;
 use std::process::ExitCode;
@@ -49,30 +50,44 @@ impl Gate {
     fn compare_snapshots(&mut self, name: &str, committed: &Value, fresh: &Value) {
         // Dimensionless ratios (BENCH_TRAIN.json): a "speedup" is
         // higher-better, everything else is a cost ratio.
-        if let (Some(base), Some(new)) = (committed.get("ratios"), fresh.get("ratios")) {
-            for (key, value) in base.as_object().into_iter().flatten() {
-                let (Some(c), Some(f)) = (value.as_f64(), new.get(key).and_then(Value::as_f64))
-                else {
-                    self.failures
-                        .push(format!("{name}: ratio {key} missing from fresh snapshot"));
-                    continue;
-                };
-                self.check(key, c, f, key.contains("speedup"));
-            }
+        let ratios = fresh.get("ratios");
+        for (key, value) in committed
+            .get("ratios")
+            .and_then(Value::as_object)
+            .into_iter()
+            .flatten()
+        {
+            let (Some(c), Some(f)) = (
+                value.as_f64(),
+                ratios.and_then(|r| r.get(key)).and_then(Value::as_f64),
+            ) else {
+                self.failures
+                    .push(format!("{name}: ratio {key} missing from fresh snapshot"));
+                continue;
+            };
+            self.check(key, c, f, key.contains("speedup"));
         }
         // Loader speedups (BENCH_MODEL_LOAD.json).
-        if let (Some(base), Some(new)) = (committed.get("loaders"), fresh.get("loaders")) {
-            for (key, value) in base.as_object().into_iter().flatten() {
-                let (Some(c), Some(f)) = (
-                    value.get("speedup_vs_json").and_then(Value::as_f64),
-                    new.get(key)
-                        .and_then(|l| l.get("speedup_vs_json"))
-                        .and_then(Value::as_f64),
-                ) else {
-                    continue; // json baseline has no speedup field
-                };
-                self.check(&format!("{key}.speedup_vs_json"), c, f, true);
-            }
+        let loaders = fresh.get("loaders");
+        for (key, value) in committed
+            .get("loaders")
+            .and_then(Value::as_object)
+            .into_iter()
+            .flatten()
+        {
+            let Some(c) = value.get("speedup_vs_json").and_then(Value::as_f64) else {
+                continue; // a loader without a speedup is not gated
+            };
+            let Some(f) = loaders
+                .and_then(|l| l.get(key))
+                .and_then(|l| l.get("speedup_vs_json"))
+                .and_then(Value::as_f64)
+            else {
+                self.failures
+                    .push(format!("{name}: loader {key} missing from fresh snapshot"));
+                continue;
+            };
+            self.check(&format!("{key}.speedup_vs_json"), c, f, true);
         }
         if self.strict {
             for section in ["paths", "loaders"] {
@@ -135,5 +150,65 @@ fn main() -> ExitCode {
             eprintln!("  {failure}");
         }
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn gate(committed: &str, fresh: &str) -> Gate {
+        let mut gate = Gate {
+            strict: false,
+            checked: 0,
+            failures: Vec::new(),
+        };
+        gate.compare_snapshots(
+            "snapshot",
+            &serde_json::from_str(committed).unwrap(),
+            &serde_json::from_str(fresh).unwrap(),
+        );
+        gate
+    }
+
+    const LOADERS: &str = r#"{"loaders": {
+        "json": {"speedup_vs_json": 1.0},
+        "artifact_f32": {"speedup_vs_json": 12.0}}}"#;
+
+    #[test]
+    fn a_missing_loader_fails() {
+        let g = gate(
+            LOADERS,
+            r#"{"loaders": {"json": {"speedup_vs_json": 1.0}}}"#,
+        );
+        assert_eq!(g.failures.len(), 1, "{:?}", g.failures);
+        assert!(g.failures[0].contains("artifact_f32"), "{:?}", g.failures);
+    }
+
+    #[test]
+    fn a_missing_ratio_fails() {
+        let g = gate(
+            r#"{"ratios": {"a_speedup": 2.0, "b_vs_c": 0.5}}"#,
+            r#"{"ratios": {"a_speedup": 2.0}}"#,
+        );
+        assert_eq!(g.failures.len(), 1, "{:?}", g.failures);
+        assert!(g.failures[0].contains("b_vs_c"), "{:?}", g.failures);
+    }
+
+    #[test]
+    fn a_16_percent_drop_fails() {
+        let fresh = LOADERS.replace("12.0", "10.08");
+        let g = gate(LOADERS, &fresh);
+        assert_eq!(g.checked, 2);
+        assert_eq!(g.failures.len(), 1, "{:?}", g.failures);
+        assert!(g.failures[0].contains("artifact_f32.speedup_vs_json"));
+    }
+
+    #[test]
+    fn a_10_percent_drop_passes() {
+        let fresh = LOADERS.replace("12.0", "10.8");
+        let g = gate(LOADERS, &fresh);
+        assert_eq!(g.checked, 2);
+        assert!(g.failures.is_empty(), "{:?}", g.failures);
     }
 }

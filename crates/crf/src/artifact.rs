@@ -8,9 +8,10 @@
 //! defines that format:
 //!
 //! ```text
-//! header   (32 bytes)  magic "PGNC" · version u32 · quant u32 ·
-//!                      section_count u32 · file checksum u64 ·
-//!                      reserved u64
+//! header   (32 bytes)  magic "PGNC" · version u32 · weight encoding
+//!                      u32 (must be 0, f32) · section_count u32 ·
+//!                      file checksum u64 · container kind u32 ·
+//!                      reserved u32
 //! table    (32 bytes per section)  id u32 · reserved u32 ·
 //!                      offset u64 · len u64 · payload checksum u64
 //! payloads 8-byte aligned, zero-padded between sections
@@ -27,14 +28,11 @@
 //! facade fills in. Eight-byte alignment keeps the door open for
 //! true zero-copy (mmap + cast) loading later without a format bump.
 //!
-//! Weights may be quantized: `f16` halves the weight sections, `i8`
-//! quarters them with one scale per path. Scales are the smallest
-//! power of two `p` with `max|w|/p < 127.5`, which makes dequantization
-//! (`q · p`) exact in `f32` and guarantees the per-path maximum
-//! quantized magnitude is ≥ 64 — so re-encoding a loaded artifact
-//! recomputes the identical scale, and compile → load → recompile is
-//! byte-identical for every quantization mode (property-tested in
-//! `tests/artifact.rs`).
+//! Weights are stored as `f32`, so compile → load → recompile is
+//! byte-identical (property-tested in `tests/artifact.rs`). Header tags
+//! 1 (`f16`) and 2 (`i8`) belong to retired quantized encodings; readers
+//! refuse them with a message that says to recompile from the JSON
+//! model.
 //!
 //! Decoding trusts nothing: magic, version, section bounds, checksums,
 //! CSR monotonicity, key ordering, id ranges against the shipped
@@ -82,18 +80,14 @@ pub const SEC_GLOBAL_CANDIDATES: u32 = 5;
 pub const SEC_PAIR_OFFSETS: u32 = 6;
 /// Pairwise packed keys (`u64 = label_a << 32 | label_b`), sorted per path.
 pub const SEC_PAIR_KEYS: u32 = 7;
-/// Pairwise weights (`f32`/`f16`/`i8` per the header's quant mode).
+/// Pairwise weights (`f32`).
 pub const SEC_PAIR_WEIGHTS: u32 = 8;
-/// Per-path `f32` dequantization scales (present only under `i8`).
-pub const SEC_PAIR_SCALES: u32 = 9;
 /// Unary CSR offsets.
 pub const SEC_UNARY_OFFSETS: u32 = 10;
 /// Unary keys (`u64 = label`), sorted per path.
 pub const SEC_UNARY_KEYS: u32 = 11;
 /// Unary weights.
 pub const SEC_UNARY_WEIGHTS: u32 = 12;
-/// Per-path unary scales (present only under `i8`).
-pub const SEC_UNARY_SCALES: u32 = 13;
 /// Candidate CSR offsets.
 pub const SEC_CAND_OFFSETS: u32 = 14;
 /// Candidate entries: `u64 key (other_label << 1 | side)` + `u32 start`
@@ -168,11 +162,9 @@ pub fn section_name(id: u32) -> &'static str {
         SEC_PAIR_OFFSETS => "pair-offsets",
         SEC_PAIR_KEYS => "pair-keys",
         SEC_PAIR_WEIGHTS => "pair-weights",
-        SEC_PAIR_SCALES => "pair-scales",
         SEC_UNARY_OFFSETS => "unary-offsets",
         SEC_UNARY_KEYS => "unary-keys",
         SEC_UNARY_WEIGHTS => "unary-weights",
-        SEC_UNARY_SCALES => "unary-scales",
         SEC_CAND_OFFSETS => "cand-offsets",
         SEC_CAND_ENTRIES => "cand-entries",
         SEC_CAND_LABELS => "cand-labels",
@@ -215,55 +207,12 @@ pub fn file_checksum(data: &[u8]) -> u64 {
     fnv(h, &data[24..])
 }
 
-/// Weight quantization mode, recorded in the header.
+/// Weight encoding of a model artifact. Only `f32` remains; the type
+/// stays so `Pigeon::to_artifact` callers keep compiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Quant {
-    /// Full-precision `f32` weights (the default).
+    /// Full-precision `f32` weights.
     F32,
-    /// IEEE 754 half-precision weights: half the bytes, exact for the
-    /// weight magnitudes CRF training produces far more often than not.
-    F16,
-    /// Signed-byte weights with one power-of-two scale per path:
-    /// quarter the bytes.
-    I8,
-}
-
-impl Quant {
-    /// Parses a `--quantize` flag value.
-    pub fn from_name(name: &str) -> Option<Quant> {
-        match name {
-            "f32" => Some(Quant::F32),
-            "f16" => Some(Quant::F16),
-            "i8" => Some(Quant::I8),
-            _ => None,
-        }
-    }
-
-    /// The flag-value spelling of this mode.
-    pub fn name(self) -> &'static str {
-        match self {
-            Quant::F32 => "f32",
-            Quant::F16 => "f16",
-            Quant::I8 => "i8",
-        }
-    }
-
-    fn tag(self) -> u32 {
-        match self {
-            Quant::F32 => 0,
-            Quant::F16 => 1,
-            Quant::I8 => 2,
-        }
-    }
-
-    fn from_tag(tag: u32) -> Option<Quant> {
-        match tag {
-            0 => Some(Quant::F32),
-            1 => Some(Quant::F16),
-            2 => Some(Quant::I8),
-            _ => None,
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -388,84 +337,6 @@ pub fn decode_strings<'a>(bytes: &'a [u8], what: &str) -> Result<(Vec<String>, &
 }
 
 // ---------------------------------------------------------------------------
-// Half-precision conversion (hand-written; no half-float dependency).
-
-/// `f16` bits → `f32`, exact for every finite half value.
-pub fn f16_to_f32(h: u16) -> f32 {
-    let sign = u32::from(h >> 15);
-    let exp = u32::from((h >> 10) & 0x1f);
-    let man = u32::from(h & 0x3ff);
-    let bits = if exp == 0 {
-        if man == 0 {
-            sign << 31
-        } else {
-            // Subnormal: value = man · 2⁻²⁴ (exact in f32).
-            let v = man as f32 * f32::from_bits(0x3380_0000); // 2^-24
-            return if sign == 1 { -v } else { v };
-        }
-    } else if exp == 0x1f {
-        (sign << 31) | 0x7f80_0000 | (man << 13)
-    } else {
-        (sign << 31) | ((exp + 112) << 23) | (man << 13)
-    };
-    f32::from_bits(bits)
-}
-
-/// `f32` → nearest `f16` bits (round-to-nearest-even). Values beyond
-/// the half range become ±inf; callers reject those at encode time.
-pub fn f32_to_f16(x: f32) -> u16 {
-    let bits = x.to_bits();
-    let sign = ((bits >> 16) & 0x8000) as u16;
-    let exp = ((bits >> 23) & 0xff) as i32;
-    let man = bits & 0x007f_ffff;
-    if exp == 0xff {
-        // Inf or NaN; keep NaN-ness in the payload bit.
-        return sign | 0x7c00 | u16::from(man != 0) << 9;
-    }
-    let e = exp - 127 + 15;
-    if e >= 0x1f {
-        return sign | 0x7c00; // overflow → inf
-    }
-    if e <= 0 {
-        if e < -10 {
-            return sign; // underflow → signed zero
-        }
-        // Subnormal half: shift the full 24-bit significand down.
-        let full = man | 0x0080_0000;
-        let shift = (14 - e) as u32;
-        let half = full >> shift;
-        let rem = full & ((1u32 << shift) - 1);
-        let halfway = 1u32 << (shift - 1);
-        let rounded = half + u32::from(rem > halfway || (rem == halfway && half & 1 == 1));
-        return sign | rounded as u16;
-    }
-    let half = ((e as u32) << 10) | (man >> 13);
-    let rem = man & 0x1fff;
-    // Round half to even; a mantissa carry correctly bumps the exponent.
-    let rounded = half + u32::from(rem > 0x1000 || (rem == 0x1000 && half & 1 == 1));
-    sign | rounded as u16
-}
-
-/// The smallest power of two `p` with `max_abs / p < 127.5` — the i8
-/// scale for one path. Power-of-two scales make `q · p` exact in `f32`
-/// and pin the largest quantized magnitude into `[64, 127]`, so
-/// re-encoding a dequantized table recomputes the identical scale
-/// (byte-identity of compile → load → recompile).
-fn pow2_scale(max_abs: f32) -> f32 {
-    if max_abs == 0.0 {
-        return 1.0;
-    }
-    let mut p = 1.0f32;
-    while max_abs / p >= 127.5 {
-        p *= 2.0;
-    }
-    while p > f32::MIN_POSITIVE && max_abs / (p * 0.5) < 127.5 {
-        p *= 0.5;
-    }
-    p
-}
-
-// ---------------------------------------------------------------------------
 // Container writer / reader.
 
 /// Assembles an artifact from sections. The facade and `pigeon compile`
@@ -489,14 +360,14 @@ impl Writer {
 
     /// Serialises header + table + 8-byte-aligned payloads and fills in
     /// every checksum. The container kind is [`KIND_MODEL`].
-    pub fn finish(self, quant: Quant) -> Vec<u8> {
-        self.finish_kind(quant, KIND_MODEL)
+    pub fn finish(self) -> Vec<u8> {
+        self.finish_kind(KIND_MODEL)
     }
 
     /// [`Self::finish`] with an explicit container kind (header bytes
     /// 24..28) — partials and checkpoints share the container but must
     /// never be mistaken for models.
-    pub fn finish_kind(self, quant: Quant, kind: u32) -> Vec<u8> {
+    pub fn finish_kind(self, kind: u32) -> Vec<u8> {
         let table_end = HEADER_LEN + self.sections.len() * TABLE_ENTRY_LEN;
         // Lay out payloads first: offset of each, 8-byte aligned.
         let mut offsets = Vec::with_capacity(self.sections.len());
@@ -509,7 +380,7 @@ impl Writer {
         let mut out = vec![0u8; cursor];
         out[0..4].copy_from_slice(&MAGIC);
         out[4..8].copy_from_slice(&VERSION.to_le_bytes());
-        out[8..12].copy_from_slice(&quant.tag().to_le_bytes());
+        // out[8..12] = weight encoding tag 0 (f32).
         out[12..16].copy_from_slice(&(self.sections.len() as u32).to_le_bytes());
         // out[16..24] = file checksum, patched last.
         out[24..28].copy_from_slice(&kind.to_le_bytes());
@@ -547,7 +418,6 @@ pub struct SectionInfo {
 #[derive(Debug)]
 pub struct Reader<'a> {
     data: &'a [u8],
-    quant: Quant,
     kind: u32,
     sections: Vec<(u32, usize, usize)>,
 }
@@ -558,7 +428,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// A message naming the first container-level problem: bad magic,
-    /// unsupported version, unknown quant mode, out-of-bounds section,
+    /// unsupported version or weight encoding, out-of-bounds section,
     /// duplicate section id, or a checksum mismatch.
     pub fn parse(data: &'a [u8]) -> Result<Reader<'a>, String> {
         if data.len() < HEADER_LEN {
@@ -584,8 +454,17 @@ impl<'a> Reader<'a> {
                  re-run `pigeon compile` against the JSON model"
             ));
         }
-        let quant = Quant::from_tag(u32_at(8))
-            .ok_or_else(|| format!("unknown quantization mode tag {}", u32_at(8)))?;
+        match u32_at(8) {
+            0 => {}
+            tag @ (1 | 2) => {
+                return Err(format!(
+                    "{} weights (encoding tag {tag}) are no longer supported; \
+                     re-run `pigeon compile --out` from the JSON model",
+                    if tag == 1 { "f16" } else { "i8" }
+                ))
+            }
+            tag => return Err(format!("unknown quantization mode tag {tag}")),
+        }
         let count = u32_at(12);
         if count > MAX_SECTIONS {
             return Err(format!(
@@ -636,15 +515,9 @@ impl<'a> Reader<'a> {
         }
         Ok(Reader {
             data,
-            quant,
             kind: u32::from_le_bytes([data[24], data[25], data[26], data[27]]),
             sections,
         })
-    }
-
-    /// The header's quantization mode.
-    pub fn quant(&self) -> Quant {
-        self.quant
     }
 
     /// The header's container kind (`KIND_*`).
@@ -724,116 +597,26 @@ pub struct ModelArtifact {
     pub labels: Vec<String>,
     /// Feature vocabulary, id order.
     pub features: Vec<String>,
-    /// The weight quantization the file used.
-    pub quant: Quant,
     /// The loaded model (`CrfModel::is_artifact_backed() == true`).
     pub model: CrfModel,
 }
 
-fn encode_weights(
-    w: &mut Writer,
-    weights_id: u32,
-    scales_id: u32,
-    table: &PackedWeights,
-    quant: Quant,
-) -> Result<(), String> {
-    let what = section_name(weights_id);
+fn encode_weights(w: &mut Writer, id: u32, table: &PackedWeights) -> Result<(), String> {
     for (i, &v) in table.weights.iter().enumerate() {
         if !v.is_finite() {
-            return Err(format!("{what}: weight {i} is non-finite ({v})"));
+            return Err(format!(
+                "{}: weight {i} is non-finite ({v})",
+                section_name(id)
+            ));
         }
     }
-    match quant {
-        Quant::F32 => w.section(weights_id, encode_f32s(&table.weights)),
-        Quant::F16 => {
-            let mut out = Vec::with_capacity(table.weights.len() * 2);
-            for &v in &table.weights {
-                let h = f32_to_f16(v);
-                if !f16_to_f32(h).is_finite() {
-                    return Err(format!(
-                        "{what}: weight {v} exceeds the f16 range; \
-                         compile with f32 or i8 quantization"
-                    ));
-                }
-                out.extend_from_slice(&h.to_le_bytes());
-            }
-            w.section(weights_id, out);
-        }
-        Quant::I8 => {
-            let num_paths = table.offsets.len().saturating_sub(1);
-            let mut scales = Vec::with_capacity(num_paths);
-            let mut out = Vec::with_capacity(table.weights.len());
-            for p in 0..num_paths {
-                let (s, e) = (table.offsets[p] as usize, table.offsets[p + 1] as usize);
-                let max_abs = table.weights[s..e]
-                    .iter()
-                    .fold(0.0f32, |m, v| m.max(v.abs()));
-                let scale = pow2_scale(max_abs);
-                scales.push(scale);
-                for &v in &table.weights[s..e] {
-                    let q = (v / scale).round().clamp(-127.0, 127.0) as i8;
-                    out.push(q as u8);
-                }
-            }
-            w.section(weights_id, out);
-            w.section(scales_id, encode_f32s(&scales));
-        }
-    }
+    w.section(id, encode_f32s(&table.weights));
     Ok(())
 }
 
-fn decode_weights(
-    r: &Reader,
-    weights_id: u32,
-    scales_id: u32,
-    num_paths: usize,
-    offsets: &[u32],
-) -> Result<Vec<f32>, String> {
-    let what = section_name(weights_id);
-    let bytes = r.section(weights_id)?;
-    let weights = match r.quant() {
-        Quant::F32 => decode_f32s(bytes, what)?,
-        Quant::F16 => {
-            if !bytes.len().is_multiple_of(2) {
-                return Err(format!(
-                    "{what} section length {} is not a multiple of 2",
-                    bytes.len()
-                ));
-            }
-            bytes
-                .chunks_exact(2)
-                .map(|c| f16_to_f32(u16::from_le_bytes([c[0], c[1]])))
-                .collect()
-        }
-        Quant::I8 => {
-            let scales = decode_f32s(r.section(scales_id)?, section_name(scales_id))?;
-            if scales.len() != num_paths {
-                return Err(format!(
-                    "{} holds {} scales for {num_paths} paths",
-                    section_name(scales_id),
-                    scales.len()
-                ));
-            }
-            for (p, &s) in scales.iter().enumerate() {
-                if !(s.is_finite() && s > 0.0) {
-                    return Err(format!(
-                        "{} scale for path {p} is {s}, not a positive finite value",
-                        section_name(scales_id)
-                    ));
-                }
-            }
-            let mut out = Vec::with_capacity(bytes.len());
-            for p in 0..num_paths {
-                let (s, e) = (offsets[p] as usize, offsets[p + 1] as usize);
-                // Offsets were bounds-checked against the entry count
-                // before this call.
-                for &q in &bytes[s..e] {
-                    out.push(f32::from(q as i8) * scales[p]);
-                }
-            }
-            out
-        }
-    };
+fn decode_weights(r: &Reader, id: u32) -> Result<Vec<f32>, String> {
+    let what = section_name(id);
+    let weights = decode_f32s(r.section(id)?, what)?;
     for (i, &v) in weights.iter().enumerate() {
         if !v.is_finite() {
             return Err(format!("{what}: weight {i} decodes to non-finite {v}"));
@@ -900,14 +683,12 @@ fn check_sorted_keys(offsets: &[u32], keys: &[u64], what: &str) -> Result<(), St
 ///
 /// # Errors
 ///
-/// When the model carries non-finite weights, or a weight exceeds the
-/// `f16` range under `Quant::F16`.
+/// When the model carries non-finite weights.
 pub fn write_artifact(
     meta: &ArtifactMeta,
     labels: &[String],
     features: &[String],
     model: &CrfModel,
-    quant: Quant,
 ) -> Result<Vec<u8>, String> {
     let compiled = model.compiled();
     let mut w = Writer::new();
@@ -940,11 +721,11 @@ pub fn write_artifact(
     let pair = &compiled.weights.pair;
     w.section(SEC_PAIR_OFFSETS, encode_u32s(&pair.offsets));
     w.section(SEC_PAIR_KEYS, encode_u64s(&pair.keys));
-    encode_weights(&mut w, SEC_PAIR_WEIGHTS, SEC_PAIR_SCALES, pair, quant)?;
+    encode_weights(&mut w, SEC_PAIR_WEIGHTS, pair)?;
     let unary = &compiled.weights.unary;
     w.section(SEC_UNARY_OFFSETS, encode_u32s(&unary.offsets));
     w.section(SEC_UNARY_KEYS, encode_u64s(&unary.keys));
-    encode_weights(&mut w, SEC_UNARY_WEIGHTS, SEC_UNARY_SCALES, unary, quant)?;
+    encode_weights(&mut w, SEC_UNARY_WEIGHTS, unary)?;
     let cands = &compiled.shared.cands;
     w.section(SEC_CAND_OFFSETS, encode_u32s(&cands.offsets));
     let mut entry_bytes = Vec::with_capacity(cands.entries.len() * 16);
@@ -959,7 +740,7 @@ pub fn write_artifact(
         SEC_CAPS,
         encode_u64s(&[model.max_candidates as u64, model.max_passes as u64]),
     );
-    Ok(w.finish(quant))
+    Ok(w.finish())
 }
 
 /// Decodes and fully validates an artifact produced by
@@ -1074,13 +855,7 @@ pub fn read_artifact(bytes: &[u8]) -> Result<ModelArtifact, String> {
         check_label("pairwise weight", (key >> 32) as u32)?;
         check_label("pairwise weight", key as u32)?;
     }
-    let pair_weights = decode_weights(
-        &r,
-        SEC_PAIR_WEIGHTS,
-        SEC_PAIR_SCALES,
-        pair_offsets.len() - 1,
-        &pair_offsets,
-    )?;
+    let pair_weights = decode_weights(&r, SEC_PAIR_WEIGHTS)?;
     if pair_weights.len() != pair_keys.len() {
         return Err(format!(
             "pair-weights holds {} entries for {} keys",
@@ -1105,13 +880,7 @@ pub fn read_artifact(bytes: &[u8]) -> Result<ModelArtifact, String> {
         }
         check_label("unary weight", key as u32)?;
     }
-    let unary_weights = decode_weights(
-        &r,
-        SEC_UNARY_WEIGHTS,
-        SEC_UNARY_SCALES,
-        unary_offsets.len() - 1,
-        &unary_offsets,
-    )?;
+    let unary_weights = decode_weights(&r, SEC_UNARY_WEIGHTS)?;
     if unary_weights.len() != unary_keys.len() {
         return Err(format!(
             "unary-weights holds {} entries for {} keys",
@@ -1211,7 +980,6 @@ pub fn read_artifact(bytes: &[u8]) -> Result<ModelArtifact, String> {
         meta,
         labels,
         features,
-        quant: r.quant(),
         model,
     })
 }
@@ -1219,41 +987,6 @@ pub fn read_artifact(bytes: &[u8]) -> Result<ModelArtifact, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn f16_round_trip_is_exact_for_every_half_value() {
-        for h in 0..=u16::MAX {
-            let f = f16_to_f32(h);
-            if f.is_finite() {
-                assert_eq!(f32_to_f16(f), h, "half bits {h:#06x} drifted");
-            }
-        }
-    }
-
-    #[test]
-    fn f16_conversion_matches_known_values() {
-        assert_eq!(f16_to_f32(0x3c00), 1.0);
-        assert_eq!(f16_to_f32(0xc000), -2.0);
-        assert_eq!(f16_to_f32(0x7bff), 65504.0);
-        assert_eq!(f32_to_f16(0.5), 0x3800);
-        assert_eq!(f32_to_f16(0.0), 0x0000);
-        assert!(!f16_to_f32(f32_to_f16(1e9)).is_finite(), "overflow → inf");
-    }
-
-    #[test]
-    fn pow2_scale_pins_quantized_max_into_range() {
-        for max_abs in [1e-6f32, 0.03, 0.5, 1.0, 127.0, 127.6, 1e4] {
-            let p = pow2_scale(max_abs);
-            let q = (max_abs / p).round();
-            assert!(q <= 127.0, "max_abs {max_abs}: q {q} overflows");
-            assert!(
-                q >= 64.0,
-                "max_abs {max_abs}: q {q} below re-derivation floor"
-            );
-            // The scale is a power of two: one mantissa bit.
-            assert_eq!(p.to_bits() & 0x007f_ffff, 0, "scale {p} not a power of two");
-        }
-    }
 
     #[test]
     fn string_table_round_trips() {
@@ -1268,7 +1001,7 @@ mod tests {
         let mut w = Writer::new();
         w.section(SEC_META, vec![1, 2, 3]);
         w.section(SEC_CAPS, encode_u64s(&[4, 5]));
-        let bytes = w.finish(Quant::F32);
+        let bytes = w.finish();
         let r = Reader::parse(&bytes).unwrap();
         assert_eq!(r.section(SEC_META).unwrap(), &[1, 2, 3]);
         assert_eq!(r.section(SEC_CAPS).unwrap().len(), 16);
@@ -1283,7 +1016,7 @@ mod tests {
     fn any_single_byte_flip_is_detected() {
         let mut w = Writer::new();
         w.section(SEC_META, vec![7; 13]);
-        let bytes = w.finish(Quant::F32);
+        let bytes = w.finish();
         assert!(Reader::parse(&bytes).is_ok());
         for i in 0..bytes.len() {
             let mut bad = bytes.clone();

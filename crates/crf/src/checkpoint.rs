@@ -16,7 +16,7 @@
 //! truncated or bit-flipped input.
 
 use crate::artifact::{
-    self, decode_u32s, decode_u64s, encode_u32s, encode_u64s, kind_name, Quant, Reader, Writer,
+    self, decode_u32s, decode_u64s, encode_u32s, encode_u64s, kind_name, Reader, Writer,
     KIND_CHECKPOINT, SEC_CK_META, SEC_CK_ORDER, SEC_CK_PAIR, SEC_CK_PAIR_SUM, SEC_CK_UNARY,
     SEC_CK_UNARY_SUM,
 };
@@ -100,7 +100,7 @@ pub fn encode_checkpoint(state: &TrainState) -> Vec<u8> {
         unary_sum.extend_from_slice(&sum.to_bits().to_le_bytes());
     }
     w.section(SEC_CK_UNARY_SUM, unary_sum);
-    let out = w.finish_kind(Quant::F32, KIND_CHECKPOINT);
+    let out = w.finish_kind(KIND_CHECKPOINT);
 
     telemetry::observe(
         "pigeon_checkpoint_save_micros",
@@ -395,8 +395,7 @@ mod tests {
             top_k: 8,
             dataflow_contexts: false,
         };
-        let art =
-            crate::artifact::write_artifact(&meta, &vocab, &feats, &model, Quant::F32).unwrap();
+        let art = crate::artifact::write_artifact(&meta, &vocab, &feats, &model).unwrap();
         let err = decode_checkpoint(&art).unwrap_err();
         assert!(err.contains("model"), "unexpected error: {err}");
     }

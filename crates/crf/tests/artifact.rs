@@ -1,12 +1,12 @@
 //! The compiled binary artifact: byte-identity round-trips, decision
-//! identity against the f64-trained reference (including under f16/i8
-//! quantization), and corruption fuzzing — truncation, header
-//! tampering, flipped section lengths, and bit flips must all surface
-//! as coded errors, never panics.
+//! identity against the f64-trained reference, and corruption fuzzing —
+//! truncation, header tampering, retired weight encodings, flipped
+//! section lengths, and bit flips must all surface as coded errors,
+//! never panics.
 
 use pigeon_crf::artifact::{
-    checksum, file_checksum, is_artifact, read_artifact, write_artifact, ArtifactMeta, Quant,
-    HEADER_LEN, MAGIC, SEC_CAPS, TABLE_ENTRY_LEN,
+    checksum, file_checksum, is_artifact, read_artifact, write_artifact, ArtifactMeta, HEADER_LEN,
+    MAGIC, SEC_CAPS, TABLE_ENTRY_LEN,
 };
 use pigeon_crf::{train, CrfConfig, CrfModel, Instance, Node, MAX_CANDIDATES_BOUND};
 use proptest::prelude::*;
@@ -50,13 +50,12 @@ fn vocab(prefix: &str, n: usize) -> Vec<String> {
     (0..n).map(|i| format!("{prefix}{i}")).collect()
 }
 
-fn compile(model: &CrfModel, quant: Quant) -> Vec<u8> {
+fn compile(model: &CrfModel) -> Vec<u8> {
     write_artifact(
         &meta(),
         &vocab("label", NUM_LABELS as usize),
         &vocab("feature", NUM_FEATURES),
         model,
-        quant,
     )
     .expect("trained model compiles")
 }
@@ -80,44 +79,39 @@ fn patch_section(bytes: &mut [u8], id: u32, patch: impl FnOnce(&mut [u8])) {
 }
 
 #[test]
-fn round_trip_is_byte_identical_for_every_quantization() {
+fn round_trip_is_byte_identical() {
     let (model, _) = trained();
-    for quant in [Quant::F32, Quant::F16, Quant::I8] {
-        let bytes = compile(&model, quant);
-        assert!(is_artifact(&bytes));
-        let art = read_artifact(&bytes).expect("fresh artifact loads");
-        assert!(art.model.is_artifact_backed());
-        assert_eq!(art.quant, quant);
-        assert_eq!(art.meta, meta());
-        assert_eq!(art.labels, vocab("label", NUM_LABELS as usize));
-        assert_eq!(art.features, vocab("feature", NUM_FEATURES));
-        // Recompiling the loaded model reproduces the file exactly:
-        // nothing is lost or renormalised on the way through.
-        let again = write_artifact(&art.meta, &art.labels, &art.features, &art.model, quant)
-            .expect("loaded model recompiles");
-        assert_eq!(bytes, again, "{quant:?} recompile diverged");
-    }
+    let bytes = compile(&model);
+    assert!(is_artifact(&bytes));
+    let art = read_artifact(&bytes).expect("fresh artifact loads");
+    assert!(art.model.is_artifact_backed());
+    assert_eq!(art.meta, meta());
+    assert_eq!(art.labels, vocab("label", NUM_LABELS as usize));
+    assert_eq!(art.features, vocab("feature", NUM_FEATURES));
+    // Recompiling the loaded model reproduces the file exactly:
+    // nothing is lost or renormalised on the way through.
+    let again = write_artifact(&art.meta, &art.labels, &art.features, &art.model)
+        .expect("loaded model recompiles");
+    assert_eq!(bytes, again, "recompile diverged");
 }
 
 #[test]
-fn artifact_predictions_match_the_reference_for_every_quantization() {
+fn artifact_predictions_match_the_reference() {
     let (model, instances) = trained();
-    for quant in [Quant::F32, Quant::F16, Quant::I8] {
-        let art = read_artifact(&compile(&model, quant)).expect("loads");
-        for inst in &instances {
-            assert_eq!(
-                art.model.predict(inst),
-                model.predict(inst),
-                "{quant:?} changed a decision"
-            );
-        }
+    let art = read_artifact(&compile(&model)).expect("loads");
+    for inst in &instances {
+        assert_eq!(
+            art.model.predict(inst),
+            model.predict(inst),
+            "the artifact changed a decision"
+        );
     }
 }
 
 #[test]
 fn every_truncation_is_a_coded_error_not_a_panic() {
     let (model, _) = trained();
-    let bytes = compile(&model, Quant::I8);
+    let bytes = compile(&model);
     for len in 0..bytes.len() {
         let err = read_artifact(&bytes[..len]).expect_err("truncated file must not load");
         assert!(!err.is_empty(), "error at length {len} carries no message");
@@ -127,7 +121,7 @@ fn every_truncation_is_a_coded_error_not_a_panic() {
 #[test]
 fn every_single_byte_flip_is_detected() {
     let (model, _) = trained();
-    let bytes = compile(&model, Quant::F32);
+    let bytes = compile(&model);
     for i in 0..bytes.len() {
         let mut tampered = bytes.clone();
         tampered[i] ^= 0xff;
@@ -141,7 +135,7 @@ fn every_single_byte_flip_is_detected() {
 #[test]
 fn header_tampering_is_rejected() {
     let (model, _) = trained();
-    let bytes = compile(&model, Quant::F32);
+    let bytes = compile(&model);
 
     let mut bad_magic = bytes.clone();
     bad_magic[..4].copy_from_slice(b"NOPE");
@@ -160,9 +154,35 @@ fn header_tampering_is_rejected() {
 }
 
 #[test]
+fn retired_quantized_encodings_are_refused_with_a_recompile_hint() {
+    let (model, _) = trained();
+    let bytes = compile(&model);
+    assert_eq!(&bytes[8..12], &[0; 4], "weights are written as f32 (tag 0)");
+    for (tag, name) in [(1u32, "f16"), (2, "i8")] {
+        // Forge the old header tag with the file checksum repaired, so
+        // the encoding check itself fires.
+        let mut old = bytes.clone();
+        old[8..12].copy_from_slice(&tag.to_le_bytes());
+        let sum = file_checksum(&old);
+        old[16..24].copy_from_slice(&sum.to_le_bytes());
+        let err = read_artifact(&old).unwrap_err();
+        assert!(
+            err.contains(name) && err.contains("pigeon compile --out"),
+            "tag {tag}: unexpected error: {err}"
+        );
+    }
+    let mut unknown = bytes.clone();
+    unknown[8..12].copy_from_slice(&7u32.to_le_bytes());
+    let sum = file_checksum(&unknown);
+    unknown[16..24].copy_from_slice(&sum.to_le_bytes());
+    let err = read_artifact(&unknown).unwrap_err();
+    assert!(err.contains("tag 7"), "unexpected error: {err}");
+}
+
+#[test]
 fn flipped_section_length_is_rejected() {
     let (model, _) = trained();
-    let bytes = compile(&model, Quant::F32);
+    let bytes = compile(&model);
     // Inflate the first section's recorded length past the end of the
     // file; repair the file checksum so the bounds check is what fires.
     let mut tampered = bytes.clone();
@@ -180,7 +200,7 @@ fn flipped_section_length_is_rejected() {
 #[test]
 fn out_of_bound_caps_are_rejected_even_with_valid_checksums() {
     let (model, _) = trained();
-    let mut bytes = compile(&model, Quant::F32);
+    let mut bytes = compile(&model);
     patch_section(&mut bytes, SEC_CAPS, |caps| {
         let huge = (MAX_CANDIDATES_BOUND as u64 + 1).to_le_bytes();
         caps[..8].copy_from_slice(&huge);
@@ -192,7 +212,7 @@ fn out_of_bound_caps_are_rejected_even_with_valid_checksums() {
 #[test]
 fn artifact_backed_models_refuse_json_serialisation() {
     let (model, _) = trained();
-    let art = read_artifact(&compile(&model, Quant::F32)).expect("loads");
+    let art = read_artifact(&compile(&model)).expect("loads");
     let err = art.model.to_json().unwrap_err();
     assert!(err.to_string().contains("artifact"), "unexpected: {err}");
 }
@@ -208,11 +228,10 @@ fn junk_is_not_an_artifact() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Quantized artifacts are decision-identical to the f64-trained
-    /// reference on arbitrary trained models, not just the fixed
-    /// fixture: per-path power-of-two scales keep the ICM argmax stable.
+    /// Artifacts are decision-identical to the f64-trained reference on
+    /// arbitrary trained models, not just the fixed fixture.
     #[test]
-    fn quantized_decisions_match_the_reference(seed in 0u64..1000, quant_i8 in any::<bool>()) {
+    fn f32_decisions_match_the_reference(seed in 0u64..1000) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let instances: Vec<Instance> = (0..40)
             .map(|_| {
@@ -225,8 +244,7 @@ proptest! {
             })
             .collect();
         let model = train(&instances, NUM_LABELS, &CrfConfig::default());
-        let quant = if quant_i8 { Quant::I8 } else { Quant::F16 };
-        let art = read_artifact(&compile(&model, quant)).expect("loads");
+        let art = read_artifact(&compile(&model)).expect("loads");
         for inst in &instances {
             prop_assert_eq!(art.model.predict(inst), model.predict(inst));
         }

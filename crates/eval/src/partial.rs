@@ -23,7 +23,7 @@
 
 use pigeon_crf::artifact::{
     self, decode_strings, decode_u32s, decode_u64s, encode_strings, encode_u32s, encode_u64s,
-    kind_name, Quant, Reader, Writer, KIND_PARTIAL, SEC_PT_DOCS, SEC_PT_META,
+    kind_name, Reader, Writer, KIND_PARTIAL, SEC_PT_DOCS, SEC_PT_META,
 };
 use pigeon_crf::{CrfConfig, Instance, Node, PairFactor, RawStatistics, UnaryFactor};
 use pigeon_telemetry as telemetry;
@@ -228,7 +228,7 @@ pub fn encode_partial(partial: &TrainPartial) -> Vec<u8> {
     let mut w = Writer::new();
     w.section(SEC_PT_META, meta);
     w.section(SEC_PT_DOCS, docs);
-    w.finish_kind(Quant::F32, KIND_PARTIAL)
+    w.finish_kind(KIND_PARTIAL)
 }
 
 /// A bounds-checked little-endian cursor over the docs section.

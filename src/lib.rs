@@ -774,9 +774,8 @@ impl Pigeon {
     /// # Errors
     ///
     /// Returns [`PigeonError`] with [`ErrorKind::ModelFormat`] when the
-    /// model carries non-finite weights, or a weight exceeds the `f16`
-    /// range under [`crf::artifact::Quant::F16`].
-    pub fn to_artifact(&self, quant: crf::artifact::Quant) -> Result<Vec<u8>, PigeonError> {
+    /// model carries non-finite weights.
+    pub fn to_artifact(&self, _quant: crf::artifact::Quant) -> Result<Vec<u8>, PigeonError> {
         let _span = telemetry::span("compile_artifact");
         let labels: Vec<String> = self.vocabs.labels.iter().map(|(_, s)| s.clone()).collect();
         let features: Vec<String> = self
@@ -800,7 +799,7 @@ impl Pigeon {
             top_k: self.config.top_k as u32,
             dataflow_contexts: self.config.dataflow_contexts,
         };
-        crf::artifact::write_artifact(&meta, &labels, &features, &self.model, quant)
+        crf::artifact::write_artifact(&meta, &labels, &features, &self.model)
             .map_err(|m| PigeonError::model_format(format!("compiled artifact: {m}")))
     }
 

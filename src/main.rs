@@ -83,9 +83,8 @@ USAGE:
                     [--checkpoint-every N --checkpoint-dir D] [--resume D]
                     [--update MODEL --add DIR]
                     [--synthetic N | FILE...]
-  pigeon merge      --out MODEL[.json|.pgnc] [--quantize f32|f16|i8]
-                    PART.part...
-  pigeon compile    [--quantize f32|f16|i8] MODEL.json OUT.pgnc
+  pigeon merge      --out MODEL[.json|.pgnc] PART.part...
+  pigeon compile    --out OUT.pgnc MODEL.json
   pigeon predict    --model MODEL[.json|.pgnc] [--trace-out FILE]
                     [--timings BOOL] FILE
   pigeon serve      --model MODEL[.json|.pgnc] [--host ADDR] [--port N] [--jobs N]
@@ -177,12 +176,9 @@ COMPILE:
   loaded by `predict`/`serve`/`audit` with bulk array reads — no JSON
   parsing, no recompilation — for near-instant replica cold start.
   Every `--model` flag accepts either format (sniffed by magic), and
-  `POST /v1/models` hot-swaps artifact bytes directly.
-  --quantize    f32 (default, byte-exact weights), f16 (half the
-                weight bytes), i8 (quarter, one scale per path).
-                Quantized models are decision-identical to the f32
-                reference in all released tests; verify any model with
-                `pigeon audit --model OUT.pgnc`.
+  `POST /v1/models` hot-swaps artifact bytes directly. Weights are
+  stored as f32, so compiling an artifact again is byte-identical;
+  verify any model with `pigeon audit --model OUT.pgnc`.
 
 AUDIT:
   Static analysis over sources and trained models. PATHs are source
@@ -234,9 +230,8 @@ SERVE (v1 API; every JSON response carries \"api\": \"pigeon/1\"):
                          version slices (JSON)
   GET  /v1/health        liveness probe
   GET  /v1/metrics       Prometheus text exposition
-  Unversioned paths (/predict, /stats, …) still answer, with
-  `Deprecation: true` + `Sunset` headers. Error bodies carry a stable
-  `code`. The full route contract lives in API.md.
+  Unversioned paths (/predict, /stats, …) answer 404. Error bodies
+  carry a stable `code`. The full route contract lives in API.md.
   Connections are HTTP/1.1 keep-alive; /v1/predict requests coalesce
   into micro-batches through a bounded admission queue (full queue →
   429 with Retry-After).
@@ -910,10 +905,6 @@ const MERGE_FLAGS: &[FlagSpec] = &[
         "where to write the finished model (MODEL.json or MODEL.pgnc)",
     ),
     (
-        "quantize",
-        "artifact weight quantization: f32 (default) | f16 | i8",
-    ),
-    (
         "trace-out",
         "write a Chrome trace-event JSON timeline to FILE",
     ),
@@ -933,20 +924,7 @@ fn cmd_merge(args: &[String]) -> Result<(), String> {
         );
         return Ok(());
     }
-    // `-o` was the original short form for the merge output; it still
-    // works for one release while every command standardises on --out.
-    let args: Vec<String> = args
-        .iter()
-        .map(|a| {
-            if a == "-o" {
-                eprintln!("warning: `pigeon merge -o` is deprecated; use --out");
-                "--out".into()
-            } else {
-                a.clone()
-            }
-        })
-        .collect();
-    let (flags, positional) = parse_flags(&args)?;
+    let (flags, positional) = parse_flags(args)?;
     check_flags("merge", &flags, MERGE_FLAGS)?;
     let out = flag(&flags, "out").ok_or("--out is required (MODEL.json or MODEL.pgnc)")?;
     if positional.is_empty() {
@@ -954,12 +932,6 @@ fn cmd_merge(args: &[String]) -> Result<(), String> {
             "provide partial files (written by `pigeon train --shard I/N --emit-partial`)".into(),
         );
     }
-    let quant = match flag(&flags, "quantize") {
-        None => Quant::F32,
-        Some(name) => {
-            Quant::from_name(name).ok_or_else(|| format!("unknown quantization `{name}`"))?
-        }
-    };
     let observability = Observability::from_flags(&flags)?;
     let parts: Vec<Vec<u8>> = positional
         .iter()
@@ -967,7 +939,7 @@ fn cmd_merge(args: &[String]) -> Result<(), String> {
         .collect::<Result<_, _>>()?;
     let model = Pigeon::from_partials(&parts).map_err(|e| e.to_string())?;
     if out.ends_with(".pgnc") {
-        let bytes = model.to_artifact(quant).map_err(|e| e.to_string())?;
+        let bytes = model.to_artifact(Quant::F32).map_err(|e| e.to_string())?;
         std::fs::write(out, &bytes).map_err(|e| format!("{out}: {e}"))?;
     } else {
         let json = model.to_json().map_err(|e| e.to_string())?;
@@ -981,10 +953,7 @@ fn cmd_merge(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-const COMPILE_FLAGS: &[FlagSpec] = &[
-    ("out", "where to write the compiled artifact (OUT.pgnc)"),
-    ("quantize", "weight quantization: f32 (default) | f16 | i8"),
-];
+const COMPILE_FLAGS: &[FlagSpec] = &[("out", "where to write the compiled artifact (OUT.pgnc)")];
 
 fn cmd_compile(args: &[String]) -> Result<(), String> {
     if help_requested(args) {
@@ -998,17 +967,8 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
     }
     let (flags, positional) = parse_flags(args)?;
     check_flags("compile", &flags, COMPILE_FLAGS)?;
-    // The standard spelling is `--out OUT.pgnc MODEL.json`; the original
-    // two-positional form still works for one release.
     let (input, output) = match (flag(&flags, "out"), positional.as_slice()) {
         (Some(out), [input]) => (input.as_str(), out),
-        (None, [input, output]) => {
-            eprintln!(
-                "warning: `pigeon compile MODEL OUT` with a positional output is \
-                 deprecated; use --out OUT.pgnc"
-            );
-            (input.as_str(), output.as_str())
-        }
         (Some(_), rest) => {
             return Err(format!(
                 "--out takes exactly one MODEL positional, got {}",
@@ -1017,21 +977,14 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
         }
         (None, _) => return Err("expected `pigeon compile --out OUT.pgnc MODEL.json`".into()),
     };
-    let quant = match flag(&flags, "quantize") {
-        None => Quant::F32,
-        Some(name) => {
-            Quant::from_name(name).ok_or_else(|| format!("unknown quantization `{name}`"))?
-        }
-    };
-    // Load through the sniffing path so recompiling an artifact (e.g.
-    // to change quantization) works just like compiling JSON.
+    // Load through the sniffing path so recompiling an artifact works
+    // just like compiling JSON.
     let model = load_model(input)?;
-    let bytes = model.to_artifact(quant).map_err(|e| e.to_string())?;
+    let bytes = model.to_artifact(Quant::F32).map_err(|e| e.to_string())?;
     std::fs::write(output, &bytes).map_err(|e| format!("{output}: {e}"))?;
     println!(
-        "compiled {input} → {output} ({} bytes, {} quantization)",
-        bytes.len(),
-        quant.name()
+        "compiled {input} → {output} ({} bytes, f32 quantization)",
+        bytes.len()
     );
     Ok(())
 }

@@ -392,11 +392,11 @@ fn coordinator_routes_answer_no_coordinator_without_a_cache_dir() {
     let _ = child.wait();
 }
 
-/// The legacy flag spellings still work but warn: `pigeon merge -o`
-/// and the two-positional `pigeon compile` both print a deprecation
-/// pointing at `--out`.
+/// Each command has one output spelling, `--out`: the retired
+/// `pigeon merge -o` and two-positional `pigeon compile` fail, name
+/// `--out` in their error, and write nothing.
 #[test]
-fn legacy_flag_spellings_warn_and_still_work() {
+fn retired_flag_spellings_fail_naming_out() {
     let dir = tmp_dir("aliases");
     let (_corpus, model, partial) = fixtures(&dir);
 
@@ -408,12 +408,12 @@ fn legacy_flag_spellings_warn_and_still_work() {
         .output()
         .expect("runs");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "{stderr}");
+    assert!(!out.status.success(), "merge -o must fail: {stderr}");
     assert!(
-        stderr.contains("deprecated") && stderr.contains("--out"),
-        "merge -o must warn: {stderr}"
+        stderr.contains("--out"),
+        "merge -o must name --out: {stderr}"
     );
-    assert!(merged.exists());
+    assert!(!merged.exists(), "merge -o must write nothing");
 
     let compiled = dir.join("model.pgnc");
     let out = pigeon()
@@ -423,14 +423,17 @@ fn legacy_flag_spellings_warn_and_still_work() {
         .output()
         .expect("runs");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "{stderr}");
     assert!(
-        stderr.contains("deprecated") && stderr.contains("--out"),
-        "positional compile output must warn: {stderr}"
+        !out.status.success(),
+        "positional compile must fail: {stderr}"
     );
-    assert!(compiled.exists());
+    assert!(
+        stderr.contains("--out"),
+        "positional compile must name --out: {stderr}"
+    );
+    assert!(!compiled.exists(), "positional compile must write nothing");
 
-    // The modern spellings stay silent.
+    // The `--out` spellings work.
     let merged2 = dir.join("merged2.json");
     let out = pigeon()
         .args(["merge", "--out"])
@@ -438,11 +441,12 @@ fn legacy_flag_spellings_warn_and_still_work() {
         .arg(&partial)
         .output()
         .expect("runs");
-    assert!(out.status.success());
     assert!(
-        !String::from_utf8_lossy(&out.stderr).contains("deprecated"),
-        "--out must not warn"
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
     );
+    assert!(merged2.exists());
     let compiled2 = dir.join("model2.pgnc");
     let out = pigeon()
         .args(["compile", "--out"])
@@ -455,10 +459,7 @@ fn legacy_flag_spellings_warn_and_still_work() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert!(
-        !String::from_utf8_lossy(&out.stderr).contains("deprecated"),
-        "compile --out must not warn"
-    );
+    assert!(compiled2.exists());
 }
 
 /// `pigeon <command> --help` is generated from the same flag table
@@ -470,7 +471,7 @@ fn per_command_help_is_generated_from_the_flag_table() {
         ("generate", &["--files", "--seed"]),
         ("train", &["--out", "--shard", "--emit-partial"]),
         ("merge", &["--out"]),
-        ("compile", &["--out", "--quantize"]),
+        ("compile", &["--out"]),
         ("predict", &["--model", "--trace-out"]),
         ("serve", &["--model", "--cache-dir", "--lease-timeout-ms"]),
         ("coordinate", &["--cache-dir", "--lease-timeout-ms"]),

@@ -1,9 +1,9 @@
 //! The compiled binary artifact through the facade: `to_artifact` /
-//! `from_artifact` / `load` sniffing, decision identity (quantized
-//! included), and the hardened error path on corrupted bytes.
+//! `from_artifact` / `load` sniffing, decision identity, and the
+//! hardened error path on corrupted or retired-encoding bytes.
 
 use pigeon::corpus::{generate, CorpusConfig, Language};
-use pigeon::crf::artifact::{is_artifact, Quant};
+use pigeon::crf::artifact::{file_checksum, is_artifact, Quant};
 use pigeon::{ErrorKind, Pigeon, PigeonConfig};
 
 fn trained_namer() -> Pigeon {
@@ -51,20 +51,23 @@ fn artifact_round_trips_through_the_facade() {
 }
 
 #[test]
-fn quantized_artifacts_keep_decisions() {
-    let namer = trained_namer();
-    let reference = namer.predict(QUERY).unwrap();
-    assert!(!reference.is_empty());
-    for quant in [Quant::F16, Quant::I8] {
-        let restored = Pigeon::from_artifact(&namer.to_artifact(quant).unwrap()).unwrap();
-        // Quantization may swap near-tied candidates deep in the top-k
-        // list; the decision — the predicted name — must never move.
-        let quantized = restored.predict(QUERY).unwrap();
-        assert_eq!(reference.len(), quantized.len());
-        for (r, q) in reference.iter().zip(&quantized) {
-            assert_eq!(r.current_name, q.current_name);
-            assert_eq!(r.predicted_name, q.predicted_name, "{quant:?}");
-        }
+fn quantized_artifacts_are_coded_model_format_errors() {
+    let bytes = trained_namer().to_artifact(Quant::F32).unwrap();
+    // Header tags 1 (f16) and 2 (i8) name retired weight encodings; a
+    // file carrying one is refused with a hint to recompile, not
+    // decoded. The checksum is repaired so the tag check itself fires.
+    for (tag, name) in [(1u32, "f16"), (2, "i8")] {
+        let mut old = bytes.clone();
+        old[8..12].copy_from_slice(&tag.to_le_bytes());
+        let sum = file_checksum(&old);
+        old[16..24].copy_from_slice(&sum.to_le_bytes());
+        let err = Pigeon::load(&old).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::ModelFormat, "tag {tag}: {err}");
+        let message = err.to_string();
+        assert!(
+            message.contains(name) && message.contains("pigeon compile --out"),
+            "tag {tag}: unexpected: {message}"
+        );
     }
 }
 

@@ -145,7 +145,7 @@ fn generate_train_predict_round_trip() {
 
 /// `pigeon compile` freezes a JSON model into the binary artifact;
 /// `predict` and `audit` consume it interchangeably with the JSON, and
-/// quantized variants keep the same decisions.
+/// recompiling the artifact reproduces it byte for byte.
 #[test]
 fn compile_predict_audit_round_trip() {
     let dir = tmp_dir("compile");
@@ -165,9 +165,9 @@ fn compile_predict_audit_round_trip() {
     );
 
     let out = pigeon()
-        .args(["compile"])
-        .arg(&model)
+        .args(["compile", "--out"])
         .arg(&artifact)
+        .arg(&model)
         .output()
         .expect("runs");
     assert!(
@@ -211,64 +211,25 @@ fn compile_predict_audit_round_trip() {
     let from_json = predict(&model);
     assert_eq!(from_json, predict(&artifact));
 
-    // The decision column: one predicted name per element. Quantization
-    // may swap near-tied candidates deep in the top-k list, but the
-    // chosen name must never move.
-    let decisions = |stdout: &str| -> Vec<String> {
-        stdout
-            .lines()
-            .map(|l| {
-                l.split('→')
-                    .nth(1)
-                    .expect("prediction line")
-                    .split('(')
-                    .next()
-                    .expect("name column")
-                    .trim()
-                    .to_owned()
-            })
-            .collect()
-    };
-
-    // Quantized artifacts keep the decisions; recompiling an artifact
-    // (format sniffed on input) is byte-identical.
-    for quant in ["f16", "i8"] {
-        let quantized = dir.join(format!("model-{quant}.pgnc"));
-        let out = pigeon()
-            .args(["compile", "--quantize", quant])
-            .arg(&model)
-            .arg(&quantized)
-            .output()
-            .expect("runs");
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        assert_eq!(
-            decisions(&from_json),
-            decisions(&predict(&quantized)),
-            "{quant} changed decisions"
-        );
-
-        let recompiled = dir.join(format!("model-{quant}-2.pgnc"));
-        let out = pigeon()
-            .args(["compile", "--quantize", quant])
-            .arg(&quantized)
-            .arg(&recompiled)
-            .output()
-            .expect("runs");
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        assert_eq!(
-            std::fs::read(&quantized).unwrap(),
-            std::fs::read(&recompiled).unwrap(),
-            "{quant} recompile diverged"
-        );
-    }
+    // Recompiling an artifact (format sniffed on input) is
+    // byte-identical.
+    let recompiled = dir.join("model-2.pgnc");
+    let out = pigeon()
+        .args(["compile", "--out"])
+        .arg(&recompiled)
+        .arg(&artifact)
+        .output()
+        .expect("runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(
+        bytes,
+        std::fs::read(&recompiled).unwrap(),
+        "recompile diverged"
+    );
 
     // `audit --model` understands the binary format.
     let out = pigeon()
@@ -300,15 +261,33 @@ fn compile_predict_audit_round_trip() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("artifact-format"), "{text}");
 
-    // Unknown quantization names are rejected up front.
+    // A file from the retired f16 encoding (header tag 1, checksum
+    // intact) audits to the same hard error, naming the way out.
+    let mut old = bytes.clone();
+    old[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let sum = pigeon::crf::artifact::file_checksum(&old);
+    old[16..24].copy_from_slice(&sum.to_le_bytes());
+    let old_path = dir.join("model-f16.pgnc");
+    std::fs::write(&old_path, &old).unwrap();
     let out = pigeon()
-        .args(["compile", "--quantize", "f8"])
-        .arg(&model)
+        .args(["audit", "--model"])
+        .arg(&old_path)
+        .output()
+        .expect("runs");
+    assert_eq!(out.status.code(), Some(2));
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("artifact-format"), "{text}");
+    assert!(text.contains("pigeon compile --out"), "{text}");
+
+    // `--quantize` is gone: an unknown flag, rejected up front.
+    let out = pigeon()
+        .args(["compile", "--quantize", "f32", "--out"])
         .arg(&artifact)
+        .arg(&model)
         .output()
         .expect("runs");
     assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown quantization"));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag --quantize"));
 }
 
 #[test]
