@@ -69,34 +69,53 @@ impl TreeNode {
 
     /// Lowers this tree into an arena [`Ast`] rooted at this node.
     ///
+    /// Lowering walks an explicit stack, not the call stack, so any depth
+    /// of left-nested operator chain lowers without recursion.
+    ///
     /// # Panics
     ///
     /// Panics if a node carries both a value and children.
-    pub fn into_ast(self) -> Ast {
-        let mut b = AstBuilder::new(self.kind);
+    pub fn into_ast(mut self) -> Ast {
         assert!(
             self.value.is_none() || self.children.is_empty(),
             "terminals cannot have children"
         );
-        for c in self.children {
-            lower(&mut b, c);
+        let mut b = AstBuilder::new(self.kind);
+        // One child iterator per open nonterminal; the root's is at the
+        // bottom, so popping any other closes its node.
+        let mut open = vec![std::mem::take(&mut self.children).into_iter()];
+        while let Some(siblings) = open.last_mut() {
+            let Some(mut node) = siblings.next() else {
+                open.pop();
+                if !open.is_empty() {
+                    b.finish_node();
+                }
+                continue;
+            };
+            match node.value.take() {
+                Some(v) => {
+                    assert!(node.children.is_empty(), "terminals cannot have children");
+                    b.token(node.kind, v);
+                }
+                None => {
+                    b.start_node(node.kind);
+                    open.push(std::mem::take(&mut node.children).into_iter());
+                }
+            }
         }
         b.finish()
     }
 }
 
-fn lower(b: &mut AstBuilder, node: TreeNode) {
-    match node.value {
-        Some(v) => {
-            assert!(node.children.is_empty(), "terminals cannot have children");
-            b.token(node.kind, v);
-        }
-        None => {
-            b.start_node(node.kind);
-            for c in node.children {
-                lower(b, c);
-            }
-            b.finish_node();
+impl Drop for TreeNode {
+    /// Takes the subtree apart on an explicit stack. The derived drop
+    /// recurses once per level, and a parser's loop-built chains (`a+b+…`,
+    /// `a.b.…`) are as deep as they are long — a partial tree dropped on
+    /// a parse error must not overflow the stack either.
+    fn drop(&mut self) {
+        let mut pending = std::mem::take(&mut self.children);
+        while let Some(mut node) = pending.pop() {
+            pending.append(&mut node.children);
         }
     }
 }
@@ -118,6 +137,23 @@ mod tests {
         let ast = t.into_ast();
         ast.check_invariants().unwrap();
         assert_eq!(sexp(&ast), "(While (UnaryPrefix! (SymbolRef d)) (Block))");
+    }
+
+    /// A loop-built operator chain is as deep as it is long; lowering and
+    /// dropping one must not recurse per level (a test thread's stack is
+    /// 2 MiB, far short of 200 000 frames).
+    #[test]
+    fn deep_chains_lower_and_drop_without_recursing() {
+        let chain = |n: usize| {
+            let mut node = TreeNode::leaf("SymbolRef", "a");
+            for _ in 0..n {
+                node = TreeNode::inner("Binary+", vec![node]);
+            }
+            node
+        };
+        let ast = chain(200_000).into_ast();
+        assert_eq!(ast.height(), 200_000);
+        drop(chain(200_000));
     }
 
     #[test]

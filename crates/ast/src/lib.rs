@@ -39,6 +39,14 @@ pub use print::{pretty, sexp};
 pub use symbol::{Kind, Symbol};
 pub use tree::{Ancestors, Ast, AstBuilder, NodeId};
 
+/// How deeply a frontend lets source nest: each recursive-descent parser
+/// fails with a parse error once its recursive productions nest deeper
+/// than this, or once the tree it built is taller than this. Every pass
+/// over an [`Ast`] that recurses per level (CFG construction, the
+/// printers) is therefore bounded too, so no source text can overflow a
+/// thread's stack. Generated corpora nest below 16 levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// A half-open byte range into the source text a node was parsed from.
 ///
 /// Spans are informational: path extraction never inspects them, but

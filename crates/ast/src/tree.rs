@@ -140,6 +140,11 @@ impl Ast {
         self.depths[id.index()] as usize
     }
 
+    /// The depth of the deepest node (0 for a lone root).
+    pub fn height(&self) -> usize {
+        self.depths.iter().copied().max().unwrap_or(0) as usize
+    }
+
     /// All terminal nodes in left-to-right source order.
     pub fn leaves(&self) -> &[NodeId] {
         &self.leaves

@@ -691,20 +691,53 @@ impl CompiledCrf {
         infer(&self.shared, &self.weights, inst, loss_augment, ws)
     }
 
-    /// The top-`k` candidates for `node` under the MAP assignment —
-    /// the compiled equivalent of [`CrfModel::top_k`].
-    pub(crate) fn top_k(&self, inst: &Instance, node: usize, k: usize) -> Vec<(u32, f32)> {
-        TLS_WORKSPACE.with(|ws| self.top_k_with(inst, node, k, &mut ws.borrow_mut()))
-    }
-
-    fn top_k_with(
+    /// MAP inference plus the top-`k` candidates of every unknown node,
+    /// all scored against the one MAP assignment — the paper's top-k
+    /// suggestion (§5.1), which holds every other node at *the* MAP
+    /// labels. The second vector has one entry per unknown, in node
+    /// order. Bit-identical to [`CrfModel::predict`] followed by
+    /// [`CrfModel::top_k`] on each unknown, at the cost of one `infer`
+    /// instead of one per unknown.
+    pub fn predict_with_top_k(
         &self,
         inst: &Instance,
+        k: usize,
+    ) -> (Vec<u32>, Vec<Vec<(u32, f32)>>) {
+        TLS_WORKSPACE.with(|ws| {
+            let ws = &mut *ws.borrow_mut();
+            let labels = infer(&self.shared, &self.weights, inst, false, ws);
+            let mut tops = Vec::with_capacity(ws.unknowns.len());
+            for i in 0..ws.unknowns.len() {
+                let u = ws.unknowns[i] as usize;
+                tops.push(self.rank_candidates(inst, ws, u, k));
+            }
+            (labels, tops)
+        })
+    }
+
+    /// The top-`k` candidates for `node` under the MAP assignment —
+    /// the compiled equivalent of [`CrfModel::top_k`]. Runs a whole
+    /// `infer` per call; production paths use
+    /// [`CompiledCrf::predict_with_top_k`].
+    pub(crate) fn top_k(&self, inst: &Instance, node: usize, k: usize) -> Vec<(u32, f32)> {
+        TLS_WORKSPACE.with(|ws| {
+            let ws = &mut *ws.borrow_mut();
+            infer(&self.shared, &self.weights, inst, false, ws);
+            self.rank_candidates(inst, ws, node, k)
+        })
+    }
+
+    /// Scores `node`'s candidates with every other node held at
+    /// `ws.labels` and keeps the best `k`, ties broken by label id.
+    /// Reads `ws.labels` only, so successive calls after one `infer` all
+    /// see the same assignment.
+    fn rank_candidates(
+        &self,
+        inst: &Instance,
+        ws: &mut Workspace,
         node: usize,
         k: usize,
-        ws: &mut Workspace,
     ) -> Vec<(u32, f32)> {
-        let labels = infer(&self.shared, &self.weights, inst, false, ws);
         collect_candidates(&self.shared, inst, ws, node);
         let pair_factors = ws.pair_factors(node);
         let unary_factors = ws.unary_factors(node);
@@ -718,7 +751,7 @@ impl CompiledCrf {
                         &self.shared,
                         &self.weights,
                         inst,
-                        &labels,
+                        &ws.labels,
                         pair_factors,
                         unary_factors,
                         node,
@@ -731,60 +764,5 @@ impl CompiledCrf {
         scored.sort_by(|x, y| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0)));
         scored.truncate(k);
         scored
-    }
-
-    /// Candidate labels for `node` against an explicit label vector —
-    /// used by beam search, which explores many hypothetical states.
-    pub(crate) fn node_candidates(
-        &self,
-        inst: &Instance,
-        ws: &mut Workspace,
-        labels: &[u32],
-        node: usize,
-    ) -> Vec<u32> {
-        ws.labels.clear();
-        ws.labels.extend_from_slice(labels);
-        collect_candidates(&self.shared, inst, ws, node);
-        ws.cand.clone()
-    }
-
-    /// Scores one `(node, label)` choice against an explicit label
-    /// vector — beam search's scoring hook.
-    pub(crate) fn score(
-        &self,
-        inst: &Instance,
-        ws: &Workspace,
-        labels: &[u32],
-        node: usize,
-        label: u32,
-    ) -> f32 {
-        node_score(
-            &self.shared,
-            &self.weights,
-            inst,
-            labels,
-            ws.pair_factors(node),
-            ws.unary_factors(node),
-            node,
-            label,
-            false,
-        )
-    }
-
-    /// Prepares the workspace's adjacency for `inst` without running
-    /// inference (beam search drives its own schedule).
-    pub(crate) fn prepare(&self, inst: &Instance, ws: &mut Workspace) {
-        ws.prepare(inst, self.shared.num_label_slots);
-    }
-
-    /// Number of pairwise factors adjacent to `node` plus its unary
-    /// factors — beam search's most-constrained-first ordering key.
-    pub(crate) fn degree(&self, ws: &Workspace, node: usize) -> usize {
-        ws.pair_factors(node).len() + ws.unary_factors(node).len()
-    }
-
-    /// The most frequent training label (the evidence-free fallback).
-    pub(crate) fn global_head(&self) -> u32 {
-        self.shared.global_candidates.first().copied().unwrap_or(0)
     }
 }

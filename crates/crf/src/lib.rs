@@ -29,7 +29,6 @@
 //! ```
 
 pub mod artifact;
-mod beam;
 pub mod checkpoint;
 mod compiled;
 mod instance;

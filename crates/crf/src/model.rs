@@ -487,9 +487,28 @@ impl CrfModel {
         best
     }
 
-    /// The top-`k` candidate labels for one unknown node, scored with all
-    /// other nodes fixed at the MAP assignment — the paper's added
-    /// "top-k candidates suggestion" API (§5.1).
+    /// MAP inference plus the top-`k` candidate labels of every unknown
+    /// node, each scored with all other nodes fixed at the MAP
+    /// assignment — the paper's added "top-k candidates suggestion" API
+    /// (§5.1). Returns the full label vector (as [`CrfModel::predict`])
+    /// and one ranked `(label, score)` list per unknown, in node order.
+    ///
+    /// One MAP run serves every node, so the cost is one inference plus
+    /// one candidate scoring per unknown; the output is bit-identical to
+    /// `predict` followed by [`CrfModel::top_k`] on each unknown.
+    pub fn predict_with_top_k(
+        &self,
+        inst: &Instance,
+        k: usize,
+    ) -> (Vec<u32>, Vec<Vec<(u32, f32)>>) {
+        self.compiled().predict_with_top_k(inst, k)
+    }
+
+    /// The top-`k` candidate labels for one node, scored with all other
+    /// nodes fixed at the MAP assignment. Re-runs MAP inference on every
+    /// call, so ranking every unknown this way is quadratic; it is kept
+    /// as the per-node oracle [`CrfModel::predict_with_top_k`] is tested
+    /// against.
     pub fn top_k(&self, inst: &Instance, node: usize, k: usize) -> Vec<(u32, f32)> {
         self.compiled().top_k(inst, node, k)
     }

@@ -182,6 +182,39 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The single-MAP entry point is exactly `predict` plus the per-node
+    /// `top_k` oracle: the same labels, the same candidates in the same
+    /// order, and the same score bits, for every unknown and several `k`.
+    #[test]
+    fn predict_with_top_k_equals_predict_plus_per_node_top_k(
+        specs in prop::collection::vec(instance_strategy(), 1..8),
+        k in 0usize..12,
+    ) {
+        let instances: Vec<Instance> = specs.iter().map(build).collect();
+        let model = train(&instances, NUM_LABELS, &CrfConfig {
+            epochs: 2,
+            ..CrfConfig::default()
+        });
+        for inst in &instances {
+            let (labels, tops) = model.predict_with_top_k(inst, k);
+            prop_assert_eq!(&labels, &model.predict(inst));
+            let unknowns: Vec<usize> = (0..inst.nodes.len())
+                .filter(|&i| !inst.nodes[i].known)
+                .collect();
+            prop_assert_eq!(tops.len(), unknowns.len());
+            for (&node, top) in unknowns.iter().zip(&tops) {
+                let bits = |v: &[(u32, f32)]| -> Vec<(u32, u32)> {
+                    v.iter().map(|&(l, s)| (l, s.to_bits())).collect()
+                };
+                prop_assert_eq!(bits(top), bits(&model.top_k(inst, node, k)));
+            }
+        }
+    }
+}
+
 fn map_blank(model: &CrfModel) -> u32 {
     // Matches the inference initialisation: the most frequent label.
     // (Exposed behaviourally through predict on an evidence-free node.)

@@ -9,7 +9,7 @@
 //! `SymbolRef` gives the JavaScript frontend.
 
 use crate::lexer::{is_keyword, tokenize, LexError, Token, TokenKind, PRIMITIVES};
-use pigeon_ast::{Ast, TreeNode};
+use pigeon_ast::{Ast, TreeNode, MAX_DEPTH};
 use std::fmt;
 
 /// An error produced while parsing.
@@ -58,7 +58,11 @@ impl From<LexError> for ParseError {
 /// ```
 pub fn parse(source: &str) -> Result<Ast, ParseError> {
     let tokens = tokenize(source)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let mut children = Vec::new();
     if p.at("package") {
         p.bump();
@@ -81,12 +85,27 @@ pub fn parse(source: &str) -> Result<Ast, ParseError> {
     while !p.at_eof() {
         children.push(p.class_decl()?);
     }
-    Ok(TreeNode::inner("CompilationUnit", children).into_ast())
+    let ast = TreeNode::inner("CompilationUnit", children).into_ast();
+    // Loops build left-nested chains (`a + b + …`, `a.b.…`) without
+    // recursing, so the finished tree's height is checked as well.
+    if ast.height() > MAX_DEPTH {
+        return Err(ParseError {
+            message: too_deep(),
+            offset: 0,
+        });
+    }
+    Ok(ast)
+}
+
+fn too_deep() -> String {
+    format!("nesting deeper than {MAX_DEPTH} levels")
 }
 
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// How many guarded productions are open; see [`Parser::nested`].
+    depth: usize,
 }
 
 type PResult = Result<TreeNode, ParseError>;
@@ -135,6 +154,20 @@ impl Parser {
             message: message.to_owned(),
             offset: self.peek().offset,
         }
+    }
+
+    /// Runs one guarded production a level deeper, failing once more
+    /// than [`MAX_DEPTH`] are open. Every recursive cycle in the grammar
+    /// passes through a guarded production, so the parser's own stack
+    /// depth is bounded whatever the input.
+    fn nested(&mut self, production: fn(&mut Self) -> PResult) -> PResult {
+        if self.depth >= MAX_DEPTH {
+            return Err(self.error(&too_deep()));
+        }
+        self.depth += 1;
+        let result = production(self);
+        self.depth -= 1;
+        result
     }
 
     fn ident(&mut self) -> Result<String, ParseError> {
@@ -310,6 +343,10 @@ impl Parser {
     // ---- types ----------------------------------------------------------
 
     fn type_node(&mut self) -> PResult {
+        self.nested(Self::type_node_level)
+    }
+
+    fn type_node_level(&mut self) -> PResult {
         let mut base = self.base_type_node()?;
         while self.at("[") && self.tokens[self.pos + 1].text == "]" {
             self.bump();
@@ -382,6 +419,10 @@ impl Parser {
     }
 
     fn statement(&mut self) -> PResult {
+        self.nested(Self::statement_level)
+    }
+
+    fn statement_level(&mut self) -> PResult {
         if self.at("{") {
             return self.block();
         }
@@ -580,6 +621,10 @@ impl Parser {
     // ---- expressions ----------------------------------------------------
 
     fn expression(&mut self) -> PResult {
+        self.nested(Self::expression_level)
+    }
+
+    fn expression_level(&mut self) -> PResult {
         let lhs = self.conditional()?;
         for op in ["=", "+=", "-=", "*=", "/=", "%="] {
             if self.at(op) {
@@ -641,6 +686,10 @@ impl Parser {
     }
 
     fn unary(&mut self) -> PResult {
+        self.nested(Self::unary_level)
+    }
+
+    fn unary_level(&mut self) -> PResult {
         for op in ["!", "-", "+", "++", "--"] {
             if self.at(op) {
                 self.bump();

@@ -7,7 +7,7 @@
 //! access, and so on. See the crate docs for the full kind inventory.
 
 use crate::lexer::{is_keyword, tokenize, LexError, Token, TokenKind};
-use pigeon_ast::{Ast, TreeNode};
+use pigeon_ast::{Ast, TreeNode, MAX_DEPTH};
 use std::fmt;
 
 /// An error produced while parsing.
@@ -53,17 +53,36 @@ impl From<LexError> for ParseError {
 /// ```
 pub fn parse(source: &str) -> Result<Ast, ParseError> {
     let tokens = tokenize(source)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let mut stmts = Vec::new();
     while !p.at_eof() {
         stmts.push(p.statement()?);
     }
-    Ok(TreeNode::inner("Toplevel", stmts).into_ast())
+    let ast = TreeNode::inner("Toplevel", stmts).into_ast();
+    // Loops build left-nested chains (`a + b + …`, `a.b.…`) without
+    // recursing, so the finished tree's height is checked as well.
+    if ast.height() > MAX_DEPTH {
+        return Err(ParseError {
+            message: too_deep(),
+            offset: 0,
+        });
+    }
+    Ok(ast)
+}
+
+fn too_deep() -> String {
+    format!("nesting deeper than {MAX_DEPTH} levels")
 }
 
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// How many guarded productions are open; see [`Parser::nested`].
+    depth: usize,
 }
 
 type PResult = Result<TreeNode, ParseError>;
@@ -119,6 +138,20 @@ impl Parser {
         }
     }
 
+    /// Runs one guarded production a level deeper, failing once more
+    /// than [`MAX_DEPTH`] are open. Every recursive cycle in the grammar
+    /// passes through a guarded production, so the parser's own stack
+    /// depth is bounded whatever the input.
+    fn nested(&mut self, production: fn(&mut Self) -> PResult) -> PResult {
+        if self.depth >= MAX_DEPTH {
+            return Err(self.error(&too_deep()));
+        }
+        self.depth += 1;
+        let result = production(self);
+        self.depth -= 1;
+        result
+    }
+
     fn ident(&mut self) -> Result<String, ParseError> {
         let t = self.peek();
         if t.kind == TokenKind::Ident && !is_keyword(&t.text) {
@@ -133,15 +166,19 @@ impl Parser {
     /// Splices a parsed body into `children`: a braced block's statements
     /// are appended directly, matching the UglifyJS AST the paper draws
     /// (Fig. 1b shows `While ↓ If` with no Block node in between).
-    fn splice_body(body: TreeNode, children: &mut Vec<TreeNode>) {
+    fn splice_body(mut body: TreeNode, children: &mut Vec<TreeNode>) {
         if body.kind == pigeon_ast::Kind::new("Block") && body.value.is_none() {
-            children.extend(body.children);
+            children.append(&mut body.children);
         } else {
             children.push(body);
         }
     }
 
     fn statement(&mut self) -> PResult {
+        self.nested(Self::statement_level)
+    }
+
+    fn statement_level(&mut self) -> PResult {
         if self.at("var") || self.at("let") || self.at("const") {
             let s = self.var_statement()?;
             self.eat(";");
@@ -419,6 +456,10 @@ impl Parser {
     }
 
     fn assignment(&mut self) -> PResult {
+        self.nested(Self::assignment_level)
+    }
+
+    fn assignment_level(&mut self) -> PResult {
         let lhs = self.conditional()?;
         for op in ["=", "+=", "-=", "*=", "/=", "%="] {
             if self.at(op) {
@@ -476,6 +517,10 @@ impl Parser {
     }
 
     fn unary(&mut self) -> PResult {
+        self.nested(Self::unary_level)
+    }
+
+    fn unary_level(&mut self) -> PResult {
         for op in ["!", "-", "+", "~", "typeof", "delete", "++", "--"] {
             if self.at(op) {
                 self.bump();

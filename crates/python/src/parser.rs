@@ -7,7 +7,7 @@
 //! `NameClass`) so paths distinguish binding sites from uses.
 
 use crate::lexer::{is_keyword, tokenize, LexError, Token, TokenKind};
-use pigeon_ast::{Ast, TreeNode};
+use pigeon_ast::{Ast, TreeNode, MAX_DEPTH};
 use std::fmt;
 
 /// An error produced while parsing.
@@ -55,17 +55,36 @@ impl From<LexError> for ParseError {
 /// ```
 pub fn parse(source: &str) -> Result<Ast, ParseError> {
     let tokens = tokenize(source)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let mut stmts = Vec::new();
     while !p.at_eof() {
         stmts.push(p.statement()?);
     }
-    Ok(TreeNode::inner("Module", stmts).into_ast())
+    let ast = TreeNode::inner("Module", stmts).into_ast();
+    // Loops build left-nested chains (`a + b + …`, `a.b.…`) without
+    // recursing, so the finished tree's height is checked as well.
+    if ast.height() > MAX_DEPTH {
+        return Err(ParseError {
+            message: too_deep(),
+            offset: 0,
+        });
+    }
+    Ok(ast)
+}
+
+fn too_deep() -> String {
+    format!("nesting deeper than {MAX_DEPTH} levels")
 }
 
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// How many guarded productions are open; see [`Parser::nested`].
+    depth: usize,
 }
 
 type PResult = Result<TreeNode, ParseError>;
@@ -148,6 +167,20 @@ impl Parser {
         }
     }
 
+    /// Runs one guarded production a level deeper, failing once more
+    /// than [`MAX_DEPTH`] are open. Every recursive cycle in the grammar
+    /// passes through a guarded production, so the parser's own stack
+    /// depth is bounded whatever the input.
+    fn nested(&mut self, production: fn(&mut Self) -> PResult) -> PResult {
+        if self.depth >= MAX_DEPTH {
+            return Err(self.error(&too_deep()));
+        }
+        self.depth += 1;
+        let result = production(self);
+        self.depth -= 1;
+        result
+    }
+
     fn ident(&mut self) -> Result<String, ParseError> {
         let t = self.peek();
         if t.kind == TokenKind::Ident && !is_keyword(&t.text) {
@@ -178,6 +211,10 @@ impl Parser {
     }
 
     fn statement(&mut self) -> PResult {
+        self.nested(Self::statement_level)
+    }
+
+    fn statement_level(&mut self) -> PResult {
         // Decorators are accepted and skipped.
         while self.at("@") {
             self.bump();
@@ -267,6 +304,10 @@ impl Parser {
     }
 
     fn if_statement(&mut self) -> PResult {
+        self.nested(Self::if_statement_level)
+    }
+
+    fn if_statement_level(&mut self) -> PResult {
         // `elif` chains nest as If inside the previous orelse, as in the
         // CPython ast.
         self.bump(); // if / elif
@@ -443,6 +484,10 @@ impl Parser {
     }
 
     fn expression(&mut self) -> PResult {
+        self.nested(Self::expression_level)
+    }
+
+    fn expression_level(&mut self) -> PResult {
         self.ternary()
     }
 
@@ -479,6 +524,10 @@ impl Parser {
     }
 
     fn not_expr(&mut self) -> PResult {
+        self.nested(Self::not_expr_level)
+    }
+
+    fn not_expr_level(&mut self) -> PResult {
         if self.at("not") {
             self.bump();
             let operand = self.not_expr()?;
@@ -549,6 +598,10 @@ impl Parser {
     }
 
     fn unary(&mut self) -> PResult {
+        self.nested(Self::unary_level)
+    }
+
+    fn unary_level(&mut self) -> PResult {
         if self.at("-") || self.at("+") || self.at("~") {
             let op = self.bump().text;
             let operand = self.unary()?;
@@ -717,7 +770,7 @@ impl Parser {
 
 /// Rewrites load-context names to store context in assignment targets,
 /// mirroring the CPython ast's `ctx` field.
-fn to_store(node: TreeNode) -> TreeNode {
+fn to_store(mut node: TreeNode) -> TreeNode {
     let name_kind = pigeon_ast::Kind::new("Name");
     let tuple_kind = pigeon_ast::Kind::new("Tuple");
     if node.kind == name_kind {
@@ -726,7 +779,10 @@ fn to_store(node: TreeNode) -> TreeNode {
         }
     }
     if node.kind == tuple_kind {
-        let children = node.children.into_iter().map(to_store).collect();
+        let children = std::mem::take(&mut node.children)
+            .into_iter()
+            .map(to_store)
+            .collect();
         return TreeNode::inner("TupleStore", children);
     }
     node

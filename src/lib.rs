@@ -915,21 +915,24 @@ impl Pigeon {
         // per-call clone, and `&self` stays shareable across threads.
         let graph =
             build_name_graph_lookup(self.language, &ast, self.target, &features, &self.vocabs);
-        let labels = self.model.predict(&graph.instance);
-        let mut out = Vec::new();
-        for &node in &graph.unknown_nodes {
-            let candidates: Vec<(String, f32)> = self
-                .model
-                .top_k(&graph.instance, node, self.config.top_k)
-                .into_iter()
-                .map(|(l, s)| (self.vocabs.label_name(l).to_owned(), s))
-                .collect();
-            out.push(Prediction {
+        // One MAP run ranks every unknown: `graph.unknown_nodes` lists the
+        // instance's unknowns in node order, as the top-k lists come back.
+        let (labels, tops) = self
+            .model
+            .predict_with_top_k(&graph.instance, self.config.top_k);
+        let out = graph
+            .unknown_nodes
+            .iter()
+            .zip(tops)
+            .map(|(&node, top)| Prediction {
                 current_name: graph.node_names[node].clone(),
                 predicted_name: self.vocabs.label_name(labels[node]).to_owned(),
-                candidates,
-            });
-        }
+                candidates: top
+                    .into_iter()
+                    .map(|(l, s)| (self.vocabs.label_name(l).to_owned(), s))
+                    .collect(),
+            })
+            .collect();
         Ok(out)
     }
 

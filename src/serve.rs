@@ -480,34 +480,20 @@ impl Stats {
     }
 }
 
-/// One loaded model: an immutable `Arc<Pigeon>` plus per-version request
-/// accounting for the `/v1/stats` slices. In-flight batches hold their
-/// own `Arc<ModelVersion>`, so activating a new version never drops a
-/// model out from under a running prediction.
-struct ModelVersion {
+/// One version's metadata and request counters: everything `/v1/stats`
+/// and `GET /v1/models/{version}` report. The registry keeps one per
+/// version ever loaded, so these stay a few words each.
+struct VersionStats {
     version: u64,
     language: &'static str,
     /// Where this version came from: `"startup"` or `"api"`.
     origin: String,
-    model: Arc<Pigeon>,
     predict_requests: AtomicU64,
     predictions: AtomicU64,
     errors: AtomicU64,
 }
 
-impl ModelVersion {
-    fn new(version: u64, model: Pigeon, origin: &str) -> Self {
-        ModelVersion {
-            version,
-            language: model.language().name(),
-            origin: origin.to_owned(),
-            model: Arc::new(model),
-            predict_requests: AtomicU64::new(0),
-            predictions: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-        }
-    }
-
+impl VersionStats {
     fn record(&self, result: &Result<Vec<Prediction>, PigeonError>) {
         self.predict_requests.fetch_add(1, Ordering::Relaxed);
         match result {
@@ -522,36 +508,41 @@ impl ModelVersion {
     }
 }
 
+/// A loaded model and its version's counters. Only the active handle and
+/// in-flight batches hold one, so activating a new version never drops a
+/// model out from under a running prediction, and a swapped-out model is
+/// freed as soon as its last batch finishes.
+#[derive(Clone)]
+struct ModelVersion {
+    stats: Arc<VersionStats>,
+    model: Arc<Pigeon>,
+}
+
 /// The versioned model registry behind `POST /v1/models`: an append-only
-/// version list plus an atomically swappable active handle. A
-/// coordinator-mode server starts with no model at all — the predict
+/// list of per-version stats plus an atomically swappable active model.
+/// A coordinator-mode server starts with no model at all — the predict
 /// routes answer a coded 409 until a model is installed (via `POST
 /// /v1/models` or a finished train job).
 struct ModelRegistry {
-    versions: RwLock<Vec<Arc<ModelVersion>>>,
-    active: RwLock<Option<Arc<ModelVersion>>>,
+    versions: RwLock<Vec<Arc<VersionStats>>>,
+    active: RwLock<Option<ModelVersion>>,
 }
 
 impl ModelRegistry {
     fn new(model: Option<Pigeon>, origin: &str) -> Self {
-        match model {
-            Some(model) => {
-                let entry = Arc::new(ModelVersion::new(1, model, origin));
-                ModelRegistry {
-                    versions: RwLock::new(vec![Arc::clone(&entry)]),
-                    active: RwLock::new(Some(entry)),
-                }
-            }
-            None => ModelRegistry {
-                versions: RwLock::new(Vec::new()),
-                active: RwLock::new(None),
-            },
+        let registry = ModelRegistry {
+            versions: RwLock::new(Vec::new()),
+            active: RwLock::new(None),
+        };
+        if let Some(model) = model {
+            registry.install(model, origin);
         }
+        registry
     }
 
-    /// The version new work should run against. Callers keep the `Arc`
+    /// The version new work should run against. Callers keep the handle
     /// for the whole batch, so a concurrent swap cannot unload it.
-    fn active(&self) -> Option<Arc<ModelVersion>> {
+    fn active(&self) -> Option<ModelVersion> {
         self.active
             .read()
             .unwrap_or_else(PoisonError::into_inner)
@@ -559,20 +550,38 @@ impl ModelRegistry {
     }
 
     /// Registers `model` as the next version and atomically makes it
-    /// active. Returns the new entry.
-    fn install(&self, model: Pigeon, origin: &str) -> Arc<ModelVersion> {
+    /// active, releasing the registry's hold on the previous model.
+    /// Returns the new version's stats.
+    fn install(&self, model: Pigeon, origin: &str) -> Arc<VersionStats> {
         let mut versions = self
             .versions
             .write()
             .unwrap_or_else(PoisonError::into_inner);
-        let entry = Arc::new(ModelVersion::new(versions.len() as u64 + 1, model, origin));
-        versions.push(Arc::clone(&entry));
-        *self.active.write().unwrap_or_else(PoisonError::into_inner) = Some(Arc::clone(&entry));
-        entry
+        let stats = Arc::new(VersionStats {
+            version: versions.len() as u64 + 1,
+            language: model.language().name(),
+            origin: origin.to_owned(),
+            predict_requests: AtomicU64::new(0),
+            predictions: AtomicU64::new(0),
+            errors: AtomicU64::new(0),
+        });
+        versions.push(Arc::clone(&stats));
+        let previous = self
+            .active
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .replace(ModelVersion {
+                stats: Arc::clone(&stats),
+                model: Arc::new(model),
+            });
+        // Free the old model (when no batch holds it) outside the locks.
+        drop(versions);
+        drop(previous);
+        stats
     }
 
     /// One version by number (`GET /v1/models/<version>`).
-    fn get(&self, version: u64) -> Option<Arc<ModelVersion>> {
+    fn get(&self, version: u64) -> Option<Arc<VersionStats>> {
         self.versions
             .read()
             .unwrap_or_else(PoisonError::into_inner)
@@ -582,8 +591,8 @@ impl ModelRegistry {
     }
 
     /// `(active version, all versions in load order)`.
-    fn snapshot(&self) -> (Option<u64>, Vec<Arc<ModelVersion>>) {
-        let active = self.active().map(|m| m.version);
+    fn snapshot(&self) -> (Option<u64>, Vec<Arc<VersionStats>>) {
+        let active = self.active().map(|m| m.stats.version);
         let versions = self
             .versions
             .read()
@@ -741,7 +750,8 @@ fn run_batcher(ctx: &ServerCtx, cfg: &ServeConfig) {
             // Model-less coordinator: the predict route answers 409
             // before submitting, so this only covers the race where the
             // active model disappeared between submit and drain (it
-            // cannot today — versions are append-only — but the batcher
+            // cannot today — a swap replaces the active model, never clears
+            // it — but the batcher
             // must never panic on the invariant).
             for job in &batch {
                 let _ = job.reply.send(JobReply {
@@ -764,10 +774,10 @@ fn run_batcher(ctx: &ServerCtx, cfg: &ServeConfig) {
         match outcome {
             Ok(results) => {
                 for (job, result) in batch.iter().zip(results) {
-                    entry.record(&result);
+                    entry.stats.record(&result);
                     let _ = job.reply.send(JobReply {
                         result,
-                        model_version: entry.version,
+                        model_version: entry.stats.version,
                     });
                 }
             }
@@ -776,10 +786,10 @@ fn run_batcher(ctx: &ServerCtx, cfg: &ServeConfig) {
                     let result = Err(PigeonError::internal(
                         "prediction panicked; the server recovered",
                     ));
-                    entry.record(&result);
+                    entry.stats.record(&result);
                     let _ = job.reply.send(JobReply {
                         result,
-                        model_version: entry.version,
+                        model_version: entry.stats.version,
                     });
                 }
             }
@@ -1748,7 +1758,7 @@ fn route(ctx: &ServerCtx, endpoint: &'static str, req: &Request) -> Result<Paylo
                 // program does not void the rest of the batch; they carry
                 // the same stable `code` as top-level error bodies.
                 let result = entry.model.predict(source);
-                entry.record(&result);
+                entry.stats.record(&result);
                 results.push(match result {
                     Ok(predictions) => {
                         stats.predictions.add(predictions.len() as u64);
@@ -1762,7 +1772,7 @@ fn route(ctx: &ServerCtx, endpoint: &'static str, req: &Request) -> Result<Paylo
             }
             stats.record_latency(t.elapsed());
             Ok(Payload::Json(serde_json::json!({
-                "model_version": entry.version,
+                "model_version": entry.stats.version,
                 "results": serde_json::Value::Array(results),
             })))
         }
@@ -2090,7 +2100,7 @@ impl BoundServer {
             Some(entry) => println!(
                 "pigeon {mode}: {} model, listening on http://{addr} ({workers} worker{}, \
                  keep-alive {}, batch-max {}, queue-cap {}{cache_note})",
-                entry.language,
+                entry.stats.language,
                 if workers == 1 { "" } else { "s" },
                 if cfg.keep_alive { "on" } else { "off" },
                 cfg.batch_max,
@@ -2340,17 +2350,11 @@ mod tests {
     fn model_registry_swaps_atomically_and_keeps_old_versions() {
         let registry = ModelRegistry::new_for_tests();
         let v1 = registry.active().expect("startup model is active");
-        assert_eq!(v1.version, 1);
-        assert_eq!(v1.origin, "test");
-        let second = Pigeon::train_variable_namer(
-            pigeon_corpus::Language::JavaScript,
-            &["function g(x) { send(x); }"],
-            &crate::PigeonConfig::default(),
-        )
-        .expect("trains");
-        let v2 = registry.install(second, "api");
+        assert_eq!(v1.stats.version, 1);
+        assert_eq!(v1.stats.origin, "test");
+        let v2 = registry.install(second_model(), "api");
         assert_eq!(v2.version, 2);
-        assert_eq!(registry.active().expect("active").version, 2);
+        assert_eq!(registry.active().expect("active").stats.version, 2);
         // The old handle stays usable after the swap — this is what
         // keeps in-flight batches alive through a hot swap.
         assert!(v1.model.predict("function h(y) { return y; }").is_ok());
@@ -2360,5 +2364,28 @@ mod tests {
             versions.iter().map(|m| m.version).collect::<Vec<_>>(),
             [1, 2]
         );
+    }
+
+    #[test]
+    fn swapped_out_models_are_freed_once_no_batch_holds_them() {
+        let registry = ModelRegistry::new_for_tests();
+        let in_flight = registry.active().expect("startup model is active");
+        let v1 = Arc::downgrade(&in_flight.model);
+        registry.install(second_model(), "api");
+        // A batch that took the handle before the swap keeps the model.
+        assert!(v1.upgrade().is_some(), "freed under an in-flight batch");
+        drop(in_flight);
+        assert!(v1.upgrade().is_none(), "the registry still holds v1");
+        // Its metadata and counters outlive the model.
+        assert_eq!(registry.get(1).expect("v1 stats kept").origin, "test");
+    }
+
+    fn second_model() -> Pigeon {
+        Pigeon::train_variable_namer(
+            pigeon_corpus::Language::JavaScript,
+            &["function g(x) { send(x); }"],
+            &crate::PigeonConfig::default(),
+        )
+        .expect("trains")
     }
 }

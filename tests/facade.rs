@@ -110,6 +110,153 @@ fn predict_batch_matches_sequential_predict_exactly() {
     }
 }
 
+/// One prediction with its candidates' scores as bits, so equality is
+/// exact: `(current name, predicted name, [(candidate, score bits)])`.
+type Ranked = (String, String, Vec<(String, u32)>);
+
+/// `Pigeon::predict` ranks every unknown from one MAP run; the reference
+/// here re-derives each ranking with the per-node `top_k` oracle (one MAP
+/// run per unknown). Labels, candidate order and score bits must agree
+/// on corpus programs in every language.
+#[test]
+fn predict_equals_the_per_node_top_k_reference_in_every_language() {
+    use pigeon::eval::{
+        build_name_graph_lookup, extract_edge_features, ElementClass, Representation,
+    };
+    for language in [
+        Language::JavaScript,
+        Language::Java,
+        Language::Python,
+        Language::CSharp,
+    ] {
+        let namer = trained_namer(language, 60);
+        let config = PigeonConfig::default();
+        let queries = generate(
+            language,
+            &CorpusConfig::default().with_files(6).with_seed(77),
+        );
+        let mut ranked = 0;
+        for doc in &queries.docs {
+            let ast = language.parse(&doc.source).expect("corpus parses");
+            let rep = Representation::AstPaths(config.abstraction);
+            let features = extract_edge_features(language, &ast, rep, &config.extraction);
+            let graph = build_name_graph_lookup(
+                language,
+                &ast,
+                ElementClass::Variable,
+                &features,
+                namer.vocabs(),
+            );
+            let crf = namer.crf_model();
+            let labels = crf.predict(&graph.instance);
+            let reference: Vec<Ranked> = graph
+                .unknown_nodes
+                .iter()
+                .map(|&node| {
+                    let top = crf
+                        .top_k(&graph.instance, node, config.top_k)
+                        .into_iter()
+                        .map(|(l, s)| (namer.vocabs().label_name(l).to_owned(), s.to_bits()))
+                        .collect();
+                    let name = namer.vocabs().label_name(labels[node]).to_owned();
+                    (graph.node_names[node].clone(), name, top)
+                })
+                .collect();
+            let actual: Vec<Ranked> = namer
+                .predict(&doc.source)
+                .expect("corpus parses")
+                .into_iter()
+                .map(|p| {
+                    let top = p
+                        .candidates
+                        .into_iter()
+                        .map(|(n, s)| (n, s.to_bits()))
+                        .collect();
+                    (p.current_name, p.predicted_name, top)
+                })
+                .collect();
+            assert_eq!(
+                actual, reference,
+                "{language:?} diverged on:\n{}",
+                doc.source
+            );
+            ranked += reference.len();
+        }
+        assert!(ranked > 0, "{language:?}: the queries had no unknowns");
+    }
+}
+
+/// Sources nested just inside the frontends' depth cap run through every
+/// pass that walks the tree — predict (extraction, graph, CRF), the
+/// data-flow features and the audit lints — on a 2 MiB worker-sized
+/// stack: the cap bounds their recursion, not just the parser's.
+#[test]
+fn sources_nested_near_the_cap_predict_and_audit_on_a_worker_stack() {
+    let chain = |op: &str| vec!["a"; 100].join(op);
+    let nest = |open: &str, core: &str, close: &str, n: usize| {
+        format!("{}{core}{}", open.repeat(n), close.repeat(n))
+    };
+    let programs = [
+        (
+            Language::JavaScript,
+            format!(
+                "function f(a) {{ var x = {}; var y = {}; {} return x; }}",
+                chain(" + "),
+                nest("(", "a", ")", 40),
+                nest("if (a) {", "x = a;", "}", 40),
+            ),
+        ),
+        (
+            Language::Java,
+            format!(
+                "class C {{ int f(int a) {{ int x = {}; int y = {}; {} return x; }} }}",
+                chain(" + "),
+                nest("(", "a", ")", 40),
+                nest("if (a > 0) {", "x = a;", "}", 40),
+            ),
+        ),
+        (
+            Language::Python,
+            format!(
+                "def f(a):\n    x = {}\n    y = {}\n    return x\n",
+                chain(" + "),
+                nest("(", "a", ")", 30),
+            ),
+        ),
+        (
+            Language::CSharp,
+            format!(
+                "class C {{ int F(int a) {{ int x = {}; int y = {}; {} return x; }} }}",
+                chain(" + "),
+                nest("(", "a", ")", 30),
+                nest("if (a > 0) {", "x = a;", "}", 40),
+            ),
+        ),
+    ];
+    for (language, source) in programs {
+        let ast = language.parse(&source).expect("inside the cap");
+        assert!(ast.height() > 100, "{language:?}: height {}", ast.height());
+        let namer = trained_namer(language, 20);
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let ast = language.parse(&source).expect("inside the cap");
+                let config = PigeonConfig::default();
+                pigeon::dataflow_edge_features(
+                    language,
+                    &ast,
+                    &config.extraction,
+                    config.abstraction,
+                );
+                pigeon::analysis::audit_ast(language, "deep", &ast);
+                namer.predict(&source).expect("predicts")
+            })
+            .expect("spawns")
+            .join()
+            .expect("no pass overflows a worker stack");
+    }
+}
+
 #[test]
 fn facade_surfaces_parse_errors() {
     let namer = trained_namer(Language::JavaScript, 40);

@@ -448,6 +448,20 @@ fn serve_survives_hostile_json_bodies() {
     let (status, body) = post(&addr, "/v1/predict", QUERY);
     assert_eq!(status, 200, "after deep nesting: {body}");
 
+    // A source nested 700 parentheses deep would overflow a worker's
+    // stack, which aborts the whole server; the frontend's depth cap
+    // must answer it with a coded parse error instead.
+    let nested = format!(
+        r#"{{"source":"var x = {}a{};"}}"#,
+        "(".repeat(700),
+        ")".repeat(700)
+    );
+    let (status, body) = post(&addr, "/v1/predict", &nested);
+    assert!(body.contains("\"code\":\"parse\""), "{status}: {body}");
+    assert!(body.contains("nesting deeper than"), "{body}");
+    let (status, body) = post(&addr, "/v1/predict", QUERY);
+    assert_eq!(status, 200, "after deeply nested source: {body}");
+
     let long = format!(r#"{{"source":"{}"}}"#, "x".repeat(1000 << 10));
     let started = Instant::now();
     let (status, body) = post(&addr, "/v1/predict", &long);

@@ -118,3 +118,49 @@ fn trace_export_is_valid_json_with_well_nested_spans() {
         );
     }
 }
+
+/// Ranking every unknown costs one MAP run, not one per unknown: a
+/// facade predict on a program with many unknowns sweeps exactly as
+/// often as a bare `CrfModel::predict` on the same instance.
+#[test]
+fn one_predict_runs_icm_once_whatever_the_number_of_unknowns() {
+    use pigeon::eval::{
+        build_name_graph_lookup, extract_edge_features, ElementClass, Representation,
+    };
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    telemetry::set_enabled(true);
+    telemetry::reset();
+    let sources = sources();
+    let refs: Vec<&str> = sources.iter().map(String::as_str).collect();
+    let config = PigeonConfig::builder().jobs(1).build().expect("valid");
+    let namer = Pigeon::train_variable_namer(Language::JavaScript, &refs, &config).expect("trains");
+
+    // Several corpus programs in one source give well over ten unknowns.
+    let program = sources[..6].join("\n");
+    let ast = Language::JavaScript.parse(&program).expect("parses");
+    let rep = Representation::AstPaths(config.abstraction);
+    let features = extract_edge_features(Language::JavaScript, &ast, rep, &config.extraction);
+    let graph = build_name_graph_lookup(
+        Language::JavaScript,
+        &ast,
+        ElementClass::Variable,
+        &features,
+        namer.vocabs(),
+    );
+    assert!(
+        graph.unknown_nodes.len() >= 10,
+        "{} unknowns",
+        graph.unknown_nodes.len()
+    );
+
+    let sweeps = || telemetry::counter("pigeon_icm_sweeps_total").get();
+    let before = sweeps();
+    namer.crf_model().predict(&graph.instance);
+    let one_map_run = sweeps() - before;
+    let before = sweeps();
+    let predictions = namer.predict(&program).expect("parses");
+    let facade = sweeps() - before;
+    assert_eq!(predictions.len(), graph.unknown_nodes.len());
+    assert!(one_map_run > 0);
+    assert_eq!(facade, one_map_run, "predict must run ICM exactly once");
+}
